@@ -87,7 +87,7 @@ BENCHMARK(BM_RadixTreeMatch);
 void BM_BlockPoolAllocFree(benchmark::State& state) {
   rtc::BlockPool pool({.npu_capacity = 1 << 20, .dram_capacity = 0});
   for (auto _ : state) {
-    auto blocks = pool.Allocate(64, rtc::Tier::kNpu, 0).value();
+    auto blocks = pool.Allocate(64, rtc::Tier::kNpu).value();
     for (auto id : blocks) {
       pool.Unref(id);
     }

@@ -15,20 +15,32 @@
 //   replay_64te    full-stack trace replay: 64 tiny colocated TEs behind one
 //                  JE on a Poisson trace — the simulator carrying the whole
 //                  serving stack rather than micro events.
+//   long_horizon   8 colocated Yi-34B TP4 TEs, Poisson 4 rps x 1920 sim-s on
+//                  the shared-prefix internal trace (~7.6K requests): long
+//                  enough for RTC swap/evict and the JE prompt trees to carry
+//                  thousands of cold leaves, so any per-request cost that
+//                  grows with history shows up. Same size in both modes.
 //
 // Per scenario the JSON records `events_per_sec` (events through the queue
 // per wall second) and `sim_seconds_per_wall_second` (virtual-time
 // compression); cancel_storm adds `legacy_events_per_sec` and
 // `speedup_vs_legacy`; replay_64te adds `timeline_hash` and
-// `replay_identical` (the scenario always runs twice).
+// `replay_identical` (the scenario always runs twice). long_horizon records
+// wall seconds and requests per wall second beside its deterministic work
+// counters per request — LRU leaves examined by the RTC caches and by the
+// JE prompt trees — at the full horizon and at half of it, their ratio
+// (`work_growth`), its `timeline_hash` and `replay_identical`.
 //
 // Flags (plus the ObsSession observability flags):
 //   --out=PATH   JSON artifact path (default BENCH_perf.json)
 //   --seed=N     workload seed (default 42)
 //   --smoke      smaller sizes for CI; exits non-zero unless (a) the
-//                full-stack replay is bit-identical across both runs and
+//                full-stack replay is bit-identical across both runs,
 //                (b) cancel_storm shows >= 3x events/sec over the legacy
-//                core replica.
+//                core replica, (c) long_horizon replays bit-identically and
+//                (d) its LRU work per request at the full horizon is at most
+//                kMaxWorkGrowth x that at half the horizon. Wall time is
+//                recorded, never gated.
 
 #include <algorithm>
 #include <chrono>
@@ -336,6 +348,21 @@ struct ReplayResult {
   size_t completed = 0;
 };
 
+uint64_t TimelineHash(const workload::MetricsCollector& metrics, TimeNs sim_end) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  };
+  for (const workload::RequestRecord& record : metrics.records()) {
+    mix(static_cast<uint64_t>(record.id));
+    mix(static_cast<uint64_t>(record.first_token));
+    mix(static_cast<uint64_t>(record.completion));
+  }
+  mix(static_cast<uint64_t>(sim_end));
+  return hash;
+}
+
 ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
   workload::TraceConfig trace_config = workload::TraceGenerator::InternalTrace(rps, duration_s, seed);
   std::vector<workload::RequestSpec> trace = workload::TraceGenerator(trace_config).Generate();
@@ -352,19 +379,63 @@ ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
   r.perf.events = bed.sim().TotalFired() - fired_before;
   r.perf.sim_end = bed.sim().Now();
   r.completed = metrics.completed();
+  r.timeline_hash = TimelineHash(metrics, r.perf.sim_end);
+  return r;
+}
 
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  };
-  for (const workload::RequestRecord& record : metrics.records()) {
-    mix(static_cast<uint64_t>(record.id));
-    mix(static_cast<uint64_t>(record.first_token));
-    mix(static_cast<uint64_t>(record.completion));
+// ---------------------------------------------------------------------------
+// long_horizon: the ROADMAP baseline fleet (`deepserve_sim --colocated=8
+// --rps=4 --duration=1920`), run through the Testbed.
+constexpr int kLongHorizonTes = 8;
+constexpr int kLongHorizonTp = 4;
+constexpr double kLongHorizonRps = 4.0;
+constexpr double kLongHorizonSeconds = 1920.0;
+// Bound on LRU work per request at the full horizon over half of it. Work
+// that grew with history (a rescan of the cache per victim) would roughly
+// double; bounded per-request work stays flat.
+constexpr double kMaxWorkGrowth = 1.25;
+
+struct LongHorizonResult {
+  ReplayResult replay;
+  int64_t rtc_lru_examined = 0;  // summed over every TE's RTC caches
+  int64_t je_tree_examined = 0;
+
+  double PerRequest(int64_t work) const {
+    return replay.requests > 0 ? static_cast<double>(work) / static_cast<double>(replay.requests)
+                               : 0.0;
   }
-  mix(static_cast<uint64_t>(r.perf.sim_end));
-  r.timeline_hash = hash;
+  double WorkPerRequest() const { return PerRequest(rtc_lru_examined + je_tree_examined); }
+};
+
+LongHorizonResult RunLongHorizon(double duration_s, uint64_t seed) {
+  std::vector<workload::RequestSpec> trace =
+      workload::TraceGenerator(
+          workload::TraceGenerator::InternalTrace(kLongHorizonRps, duration_s, seed))
+          .Generate();
+  flowserve::EngineConfig engine;
+  engine.model = model::ModelSpec::Yi34B();
+  engine.parallelism = {kLongHorizonTp, 1, 1};
+  engine.role = flowserve::EngineRole::kColocated;
+  bench::Testbed bed(/*num_machines=*/(kLongHorizonTes * kLongHorizonTp + 7) / 8);
+  bed.BuildFleet(engine, /*colocated=*/kLongHorizonTes, /*prefill=*/0, /*decode=*/0);
+
+  LongHorizonResult r;
+  r.replay.requests = trace.size();
+  uint64_t fired_before = bed.sim().TotalFired();
+  double w0 = WallSeconds();
+  workload::MetricsCollector metrics = bed.Replay(trace);
+  r.replay.perf.wall_s = WallSeconds() - w0;
+  r.replay.perf.events = bed.sim().TotalFired() - fired_before;
+  r.replay.perf.sim_end = bed.sim().Now();
+  r.replay.completed = metrics.completed();
+  r.replay.timeline_hash = TimelineHash(metrics, r.replay.perf.sim_end);
+  for (const auto& te : bed.manager().tes()) {
+    flowserve::Engine& e = te->engine();
+    for (int g = 0; g < e.config().parallelism.dp; ++g) {
+      r.rtc_lru_examined += e.rtc(g).stats().lru_leaves_examined;
+    }
+  }
+  r.je_tree_examined = bed.je().stats().tree_leaves_examined;
   return r;
 }
 
@@ -421,6 +492,28 @@ int RunAll(const Options& opt) {
               replay.completed, replay.requests, replay.timeline_hash,
               replay_identical ? "bit-identical replay" : "REPLAY DIVERGED");
 
+  LongHorizonResult half = RunLongHorizon(kLongHorizonSeconds / 2, opt.seed);
+  LongHorizonResult lh = RunLongHorizon(kLongHorizonSeconds, opt.seed);
+  LongHorizonResult lh2 = RunLongHorizon(kLongHorizonSeconds, opt.seed);
+  PrintRow("long_horizon", lh.replay.perf);
+  bool lh_identical = lh.replay.timeline_hash == lh2.replay.timeline_hash &&
+                      lh.replay.perf.events == lh2.replay.perf.events &&
+                      lh.rtc_lru_examined == lh2.rtc_lru_examined &&
+                      lh.je_tree_examined == lh2.je_tree_examined;
+  double lh_req_per_s =
+      static_cast<double>(lh.replay.requests) / std::max(lh.replay.perf.wall_s, 1e-9);
+  double work_growth = lh.WorkPerRequest() / std::max(half.WorkPerRequest(), 1e-9);
+  std::printf("long_horizon: %zu/%zu requests completed, %.0f requests/wall-s, timeline %016"
+              PRIx64 " (%s)\n",
+              lh.replay.completed, lh.replay.requests, lh_req_per_s, lh.replay.timeline_hash,
+              lh_identical ? "bit-identical replay" : "REPLAY DIVERGED");
+  std::printf("long_horizon LRU leaves examined per request: rtc %.1f + je %.1f at %.0f sim-s, "
+              "rtc %.1f + je %.1f at %.0f sim-s (growth %.3fx, bound %.2fx)\n",
+              lh.PerRequest(lh.rtc_lru_examined), lh.PerRequest(lh.je_tree_examined),
+              kLongHorizonSeconds, half.PerRequest(half.rtc_lru_examined),
+              half.PerRequest(half.je_tree_examined), kLongHorizonSeconds / 2, work_growth,
+              kMaxWorkGrowth);
+
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "perf_sim: cannot open %s\n", opt.out.c_str());
@@ -450,10 +543,26 @@ int RunAll(const Options& opt) {
                "\"events_fired\": %" PRIu64
                ", \"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
                "\"sim_seconds_per_wall_second\": %.3f, \"timeline_hash\": \"%016" PRIx64
-               "\", \"replay_identical\": %s}\n",
+               "\", \"replay_identical\": %s},\n",
                tes, replay.requests, replay.completed, replay.perf.events, replay.perf.wall_s,
                replay.perf.events_per_sec(), replay.perf.sim_per_wall(), replay.timeline_hash,
                replay_identical ? "true" : "false");
+  std::fprintf(f,
+               "    \"long_horizon\": {\"tes\": %d, \"rps\": %.1f, \"sim_seconds\": %.0f, "
+               "\"requests\": %zu, \"completed\": %zu, \"events_fired\": %" PRIu64
+               ", \"wall_seconds\": %.6f, \"requests_per_wall_second\": %.1f, "
+               "\"rtc_lru_leaves_examined_per_request\": %.3f, "
+               "\"je_tree_leaves_examined_per_request\": %.3f, "
+               "\"half_horizon_rtc_lru_leaves_examined_per_request\": %.3f, "
+               "\"half_horizon_je_tree_leaves_examined_per_request\": %.3f, "
+               "\"work_growth\": %.4f, \"timeline_hash\": \"%016" PRIx64
+               "\", \"replay_identical\": %s}\n",
+               kLongHorizonTes, kLongHorizonRps, kLongHorizonSeconds, lh.replay.requests,
+               lh.replay.completed,
+               lh.replay.perf.events, lh.replay.perf.wall_s, lh_req_per_s,
+               lh.PerRequest(lh.rtc_lru_examined), lh.PerRequest(lh.je_tree_examined),
+               half.PerRequest(half.rtc_lru_examined), half.PerRequest(half.je_tree_examined),
+               work_growth, lh.replay.timeline_hash, lh_identical ? "true" : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "perf_sim: wrote %s\n", opt.out.c_str());
@@ -469,6 +578,19 @@ int RunAll(const Options& opt) {
       std::fprintf(stderr, "SMOKE FAIL: replay completed no requests\n");
       return 1;
     }
+    if (!lh_identical) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: long_horizon replay diverged (%016" PRIx64 " vs %016" PRIx64 ")\n",
+                   lh.replay.timeline_hash, lh2.replay.timeline_hash);
+      return 1;
+    }
+    if (work_growth > kMaxWorkGrowth) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: long_horizon LRU work per request grew %.3fx from %.0f to %.0f "
+                   "sim-s (bound %.2fx)\n",
+                   work_growth, kLongHorizonSeconds / 2, kLongHorizonSeconds, kMaxWorkGrowth);
+      return 1;
+    }
     if (storm_speedup < 3.0) {
       std::fprintf(stderr,
                    "SMOKE FAIL: cancel_storm speedup %.2fx < 3x over the legacy core "
@@ -476,8 +598,10 @@ int RunAll(const Options& opt) {
                    storm_speedup, storm.events_per_sec(), storm_legacy.events_per_sec());
       return 1;
     }
-    std::fprintf(stderr, "smoke OK: replay bit-identical, cancel_storm %.2fx vs legacy\n",
-                 storm_speedup);
+    std::fprintf(stderr,
+                 "smoke OK: replays bit-identical, cancel_storm %.2fx vs legacy, long_horizon "
+                 "LRU work growth %.3fx\n",
+                 storm_speedup, work_growth);
   }
   return 0;
 }
@@ -490,8 +614,9 @@ int main(int argc, char** argv) {
   registry.Flag("out", &opt.out, "machine-readable result JSON path");
   registry.Flag("seed", &opt.seed, "workload seed");
   registry.Flag("smoke", &opt.smoke,
-                "fast run; exits non-zero unless replay is bit-identical and the "
-                "slab core beats the legacy heap on cancel_storm");
+                "fast run; exits non-zero unless replays are bit-identical, the "
+                "slab core beats the legacy heap on cancel_storm and long_horizon LRU "
+                "work per request stays flat");
   std::vector<char*> obs_args = registry.Parse(argc, argv);
   bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
   return RunAll(opt);

@@ -138,6 +138,10 @@ class Engine {
   // Drops every in-flight request without callbacks (TE failure path).
   // Returns how many sequences were aborted.
   size_t Abort();
+  // Detaches the RTC executors from their caches and frees the HBM they
+  // hold, so NPUs handed back to the free pool carry no charge from this
+  // engine's cache; later cache changes (in-flight transfers) charge nothing.
+  void ReleaseHbm();
 
   // Introspection --------------------------------------------------------------
   LoadInfo load() const;

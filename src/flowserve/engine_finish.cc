@@ -255,4 +255,13 @@ size_t Engine::Abort() {
   return aborted;
 }
 
+void Engine::ReleaseHbm() {
+  for (auto& group : groups_) {
+    group->rtc->ClearListeners();
+  }
+  for (auto& executor : rtc_executors_) {
+    executor->Release();
+  }
+}
+
 }  // namespace deepserve::flowserve

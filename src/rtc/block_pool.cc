@@ -44,7 +44,7 @@ int64_t BlockPool::capacity(Tier tier) const {
   return 0;
 }
 
-Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier, TimeNs now) {
+Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier) {
   DS_CHECK_GE(n, 0);
   if (used(tier) + n > capacity(tier)) {
     return ResourceExhaustedError("tier " + std::string(TierToString(tier)) + " needs " +
@@ -68,7 +68,6 @@ Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier, TimeNs no
     slot.info = BlockInfo{};
     slot.info.ref_count = 1;
     slot.info.residency = TierBit(tier);
-    slot.info.last_access = now;
     ids.push_back(MakeId(idx, slot.gen));
   }
   live_count_ += static_cast<size_t>(n);

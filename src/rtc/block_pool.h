@@ -3,9 +3,10 @@
 // RTC manages KV data at fixed token granularity ("blocks", after vLLM's
 // block table). A block record tracks reference count (active sequences
 // pinning it), tier residency (a block may be resident on NPU HBM and in
-// DRAM simultaneously), a content key once the block is committed to the
-// cache index, and LRU metadata. The pool enforces per-tier capacity and is
-// purely logical — byte-level HBM effects are applied by RtcExecutors.
+// DRAM simultaneously), and, once the block is committed to the cache index,
+// its content key and the index node holding it. The pool enforces per-tier
+// capacity and is purely logical — byte-level HBM effects are applied by
+// RtcExecutors.
 //
 // Storage is a dense slot vector indexed by the low 32 bits of the BlockId,
 // with destroyed slots recycled through a free list. The high bits carry a
@@ -35,11 +36,32 @@ std::string_view TierToString(Tier tier);
 
 inline constexpr uint8_t TierBit(Tier tier) { return static_cast<uint8_t>(1u << static_cast<uint8_t>(tier)); }
 
+// Payload of one cache-index node: the cached blocks covering its edge span,
+// plus the eviction classes RtcMaster derives from them (meaningful only
+// while the node is evictable, i.e. every block is unreferenced, unpinned
+// and NPU-resident).
+struct BlockRun {
+  std::vector<BlockId> blocks;
+  bool has_dram = false;  // some block already has a DRAM copy: not swappable
+  bool npu_only = false;  // some block has no lower-tier copy: not droppable
+
+  BlockRun SplitTail(size_t offset) {
+    BlockRun tail;
+    tail.blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(offset), blocks.end());
+    blocks.resize(offset);
+    return tail;
+  }
+};
+
+using CacheTree = RadixTree<BlockRun>;
+
 struct BlockInfo {
   BlockKey key = 0;        // content hash; 0 while block is private to a sequence
   int32_t ref_count = 0;   // sequences currently pinning the block
   uint8_t residency = 0;   // bitmask of TierBit()s
-  TimeNs last_access = 0;
+  // Cache-index node whose run holds the block; null while private. Recency
+  // lives on the node (RadixTree::Touch), not on the block.
+  CacheTree::Node* node = nullptr;
 
   bool resident(Tier tier) const { return (residency & TierBit(tier)) != 0; }
   bool cached() const { return key != 0; }
@@ -58,7 +80,7 @@ class BlockPool {
   // Creates `n` fresh private blocks resident on `tier`, each with ref 1.
   // Fails with RESOURCE_EXHAUSTED without allocating anything if the tier
   // lacks capacity (caller evicts and retries).
-  [[nodiscard]] Result<std::vector<BlockId>> Allocate(int64_t n, Tier tier, TimeNs now);
+  [[nodiscard]] Result<std::vector<BlockId>> Allocate(int64_t n, Tier tier);
 
   void Ref(BlockId id) { ++mutable_info(id).ref_count; }
   // Drops one reference. Blocks are never destroyed here — an unreferenced
@@ -75,7 +97,7 @@ class BlockPool {
   void Destroy(BlockId id);
 
   void SetKey(BlockId id, BlockKey key) { mutable_info(id).key = key; }
-  void Touch(BlockId id, TimeNs now) { mutable_info(id).last_access = now; }
+  void SetNode(BlockId id, CacheTree::Node* node) { mutable_info(id).node = node; }
 
   const BlockInfo& info(BlockId id) const;
   bool Exists(BlockId id) const {

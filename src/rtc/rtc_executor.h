@@ -37,6 +37,13 @@ class RtcExecutor : public NpuBlockListener {
     }
   }
 
+  // Returns every byte this executor holds to the device (its TE is gone and
+  // the NPU goes back to the free pool). Detach it from its master first.
+  void Release() {
+    npu_->FreeHbm(allocated_);
+    allocated_ = 0;
+  }
+
   hw::Npu* npu() { return npu_; }
   Bytes allocated_bytes() const { return allocated_; }
 

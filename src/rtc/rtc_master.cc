@@ -9,7 +9,7 @@
 namespace deepserve::rtc {
 
 RtcMaster::RtcMaster(sim::Simulator* sim, RtcConfig config)
-    : sim_(sim), config_(config), pool_(config.pool) {
+    : sim_(sim), config_(config), pool_(config.pool), tree_(&stats_.lru_leaves_examined) {
   DS_CHECK(sim_ != nullptr);
   DS_CHECK_GT(config_.block_size, 0);
   // Default transfer: completes on the next simulator tick (unit tests).
@@ -46,10 +46,8 @@ MatchInfo RtcMaster::BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t 
   MatchInfo info;
   info.matched_tokens = matched_tokens;
   info.blocks = blocks;
-  TimeNs now = sim_->Now();
   bool npu_prefix = true;
   for (BlockId id : blocks) {
-    pool_.Touch(id, now);
     if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
       info.npu_tokens += config_.block_size;
     } else {
@@ -71,11 +69,11 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt) {
   std::vector<BlockId> blocks;
   TimeNs now = sim_->Now();
   for (auto* node : match.path) {
-    node->last_access = now;
+    tree_.Touch(node, now);
     blocks.insert(blocks.end(), node->value.blocks.begin(), node->value.blocks.end());
   }
   if (match.partial != nullptr) {
-    match.partial->last_access = now;
+    tree_.Touch(match.partial, now);
     size_t take = std::min(match.partial_len, match.partial->value.blocks.size());
     blocks.insert(blocks.end(), match.partial->value.blocks.begin(),
                   match.partial->value.blocks.begin() + static_cast<ptrdiff_t>(take));
@@ -132,10 +130,49 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
 }
 
 void RtcMaster::Acquire(std::span<const BlockId> blocks) {
-  TimeNs now = sim_->Now();
   for (BlockId id : blocks) {
     pool_.Ref(id);
-    pool_.Touch(id, now);
+  }
+  RefreshOwners(blocks);
+}
+
+void RtcMaster::Refresh(Tree::Node* node) {
+  BlockRun& run = node->value;
+  bool evictable = !run.blocks.empty();
+  run.has_dram = false;
+  run.npu_only = false;
+  for (BlockId id : run.blocks) {
+    const BlockInfo& info = pool_.info(id);
+    if (info.ref_count > 0 || populate_pins_.count(id) > 0 || !info.resident(Tier::kNpu)) {
+      evictable = false;
+      break;
+    }
+    run.has_dram = run.has_dram || info.resident(Tier::kDram);
+    run.npu_only = run.npu_only || info.residency == TierBit(Tier::kNpu);
+  }
+  tree_.SetEvictable(node, evictable);
+}
+
+void RtcMaster::RefreshOwners(std::span<const BlockId> blocks) {
+  Tree::Node* last = nullptr;  // runs are contiguous: refresh each node once
+  for (BlockId id : blocks) {
+    if (!pool_.Exists(id)) {
+      continue;
+    }
+    Tree::Node* node = pool_.info(id).node;
+    if (node != nullptr && node != last) {
+      Refresh(node);
+      last = node;
+    }
+  }
+}
+
+void RtcMaster::Unpin(std::span<const BlockId> blocks) {
+  for (BlockId id : blocks) {
+    auto pin = populate_pins_.find(id);
+    if (pin != populate_pins_.end() && --pin->second == 0) {
+      populate_pins_.erase(pin);
+    }
   }
 }
 
@@ -184,15 +221,12 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
       DS_CHECK_OK(pool_.AddResidency(id, Tier::kNpu));
       ++populate_pins_[id];
     }
+    RefreshOwners(blocks);
     SyncListeners();
     Bytes bytes = static_cast<Bytes>(blocks.size()) * config_.bytes_per_block;
     transfer_(src, Tier::kNpu, bytes, [this, ticket, blocks = std::move(blocks)] {
-      for (BlockId id : blocks) {
-        auto pin = populate_pins_.find(id);
-        if (pin != populate_pins_.end() && --pin->second == 0) {
-          populate_pins_.erase(pin);
-        }
-      }
+      Unpin(blocks);
+      RefreshOwners(blocks);
       auto it = inflight_populates_.find(ticket);
       DS_CHECK(it != inflight_populates_.end());
       if (--it->second == 0) {
@@ -259,7 +293,6 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
   size_t bs = static_cast<size_t>(config_.block_size);
   size_t first_block = static_cast<size_t>(std::max<int64_t>(0, skip_tokens)) / bs;
   size_t full = prompt.size() / bs;
-  TimeNs now = sim_->Now();
   for (size_t b = first_block; b < full; ++b) {
     BlockKey content = ChainHash(0, prompt.subspan(b * bs, bs));
     auto it = pic_index_.find(content);
@@ -274,7 +307,6 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
     if (!info.resident(Tier::kNpu)) {
       continue;  // off-NPU PIC blocks are not worth fetching
     }
-    pool_.Touch(it->second, now);
     match.blocks.push_back(it->second);
     match.matched_tokens += config_.block_size;
   }
@@ -297,59 +329,36 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   if (pool_.free_blocks(Tier::kNpu) >= n) {
     return Status::Ok();
   }
-  auto block_pinned = [this](BlockId id) { return populate_pins_.count(id) > 0; };
-  // Pass 1: drop NPU residency of cold blocks that already have a lower-tier
-  // copy (no data loss). Walk LRU leaves repeatedly.
-  // ds-lint: allow(deferred-capture, RadixTree::FindLruLeaf invokes the predicate synchronously during its walk and does not retain it)
-  auto droppable = [&](const Tree::Node& node) {
-    if (node.value.blocks.empty()) {
-      return false;
-    }
-    for (BlockId id : node.value.blocks) {
-      const BlockInfo& info = pool_.info(id);
-      if (info.ref_count > 0 || block_pinned(id) || !info.resident(Tier::kNpu) ||
-          info.residency == TierBit(Tier::kNpu)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  while (pool_.free_blocks(Tier::kNpu) < n) {
-    Tree::Node* victim = tree_.FindLruLeaf(droppable);
+  // Both passes walk the LRU index (unreferenced, unpinned, NPU-resident
+  // runs only) once, oldest first, taking victims as they come: a victim's
+  // eviction changes no other run, so the next victim is never behind the
+  // cursor, except a parent that pass 2 turns into a leaf.
+  // Pass 1: drop NPU residency of cold runs that already have a lower-tier
+  // copy (no data loss). The node stays matchable (and populatable) from
+  // DRAM/SSD; off the NPU, it leaves the index.
+  auto droppable = [](const Tree::Node& node) { return !node.value.npu_only; };
+  for (Tree::Node* from = tree_.LruFront(); pool_.free_blocks(Tier::kNpu) < n;) {
+    Tree::Node* victim = tree_.FindLruLeafFrom(from, droppable);
     if (victim == nullptr) {
       break;
     }
+    from = Tree::LruNext(victim);
     for (BlockId id : victim->value.blocks) {
       pool_.DropResidency(id, Tier::kNpu);
       ++stats_.evicted_blocks;
     }
-    // Node stays: its blocks remain matchable (and populatable) from DRAM/SSD.
-    // Mark cold so pass 1 doesn't re-pick it (it no longer qualifies anyway).
+    Refresh(victim);
   }
   // Pass 2: discard cold NPU-only cache entries entirely.
-  // ds-lint: allow(deferred-capture, RadixTree::FindLruLeaf invokes the predicate synchronously during its walk and does not retain it)
-  auto discardable = [&](const Tree::Node& node) {
-    if (node.value.blocks.empty()) {
-      return false;
-    }
-    for (BlockId id : node.value.blocks) {
-      const BlockInfo& info = pool_.info(id);
-      if (info.ref_count > 0 || block_pinned(id) || !info.resident(Tier::kNpu)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  while (pool_.free_blocks(Tier::kNpu) < n) {
-    Tree::Node* victim = tree_.FindLruLeaf(discardable);
-    if (victim == nullptr) {
-      break;
-    }
+  for (Tree::Node* victim = tree_.LruFront();
+       victim != nullptr && pool_.free_blocks(Tier::kNpu) < n;) {
+    Tree::Node* next = Tree::LruNext(victim);
     for (BlockId id : victim->value.blocks) {
       pool_.Destroy(id);
       ++stats_.discarded_blocks;
     }
-    tree_.RemoveLeaf(victim);
+    Tree::Node* parent = tree_.RemoveLeaf(victim);
+    victim = parent != nullptr && (next == nullptr || Tree::LruBefore(parent, next)) ? parent : next;
   }
   SyncListeners();
   if (pool_.free_blocks(Tier::kNpu) < n) {
@@ -361,7 +370,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
 
 Result<std::vector<BlockId>> RtcMaster::AllocBlocks(int64_t n) {
   DS_RETURN_IF_ERROR(EnsureNpuFree(n));
-  auto result = pool_.Allocate(n, Tier::kNpu, sim_->Now());
+  auto result = pool_.Allocate(n, Tier::kNpu);
   if (result.ok()) {
     SyncListeners();
     MaybeArmSwap();
@@ -376,6 +385,11 @@ Result<BlockId> RtcMaster::AppendBlock() {
 
 void RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
                      std::function<void()> on_complete) {
+  CopyBlocks(blocks, dst, /*demote=*/false, std::move(on_complete));
+}
+
+void RtcMaster::CopyBlocks(std::span<const BlockId> blocks, Tier dst, bool demote,
+                           std::function<void()> on_complete) {
   std::vector<BlockId> to_copy;
   for (BlockId id : blocks) {
     const BlockInfo& info = pool_.info(id);
@@ -388,21 +402,30 @@ void RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
     to_copy.push_back(id);
   }
   if (to_copy.empty()) {
-    sim_->ScheduleAfter(0, std::move(on_complete));
+    if (on_complete) {
+      sim_->ScheduleAfter(0, std::move(on_complete));
+    }
     return;
   }
   for (BlockId id : to_copy) {
     ++populate_pins_[id];
   }
+  RefreshOwners(to_copy);
   Bytes bytes = static_cast<Bytes>(to_copy.size()) * config_.bytes_per_block;
   transfer_(Tier::kNpu, dst, bytes,
-            [this, to_copy = std::move(to_copy), cb = std::move(on_complete)]() mutable {
-              for (BlockId id : to_copy) {
-                auto pin = populate_pins_.find(id);
-                if (pin != populate_pins_.end() && --pin->second == 0) {
-                  populate_pins_.erase(pin);
+            [this, demote, to_copy = std::move(to_copy), cb = std::move(on_complete)]() mutable {
+              Unpin(to_copy);
+              if (demote) {
+                for (BlockId id : to_copy) {
+                  if (pool_.info(id).ref_count == 0) {
+                    pool_.DropResidency(id, Tier::kNpu);
+                  }
                 }
               }
+              // After the demotion, so a swapped-out run leaves the LRU
+              // index once instead of re-entering it between the two steps.
+              RefreshOwners(to_copy);
+              SyncListeners();  // no-op unless the demotion freed NPU blocks
               if (cb) {
                 cb();
               }
@@ -411,8 +434,9 @@ void RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
 
 void RtcMaster::Free(std::span<const BlockId> blocks) {
   for (BlockId id : blocks) {
-    pool_.Unref(id);
+    pool_.Unref(id);  // private blocks die here; cached ones stay
   }
+  RefreshOwners(blocks);
   SyncListeners();
 }
 
@@ -423,12 +447,13 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
   }
   DS_CHECK_GE(blocks.size(), keys.size())
       << "Preserve needs one block per full " << config_.block_size << "-token chunk";
-  // ds-lint: allow(deferred-capture, RadixTree::Insert runs the per-node visitor before returning; the name collides with the deferred EventQueue::Insert sink)
-  tree_.Insert(keys, sim_->Now(), [&](Tree::Node& node, size_t begin, size_t end) {
+  // ds-lint: allow(deferred-capture, RadixTree::Insert runs its hooks before returning; the name collides with the deferred EventQueue::Insert sink)
+  auto on_new = [&](Tree::Node& node, size_t begin, size_t end) {
     node.value.blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(begin),
                              blocks.begin() + static_cast<ptrdiff_t>(end));
     for (size_t i = begin; i < end; ++i) {
       pool_.SetKey(blocks[i], keys[i]);
+      pool_.SetNode(blocks[i], &node);
       if (config_.enable_pic) {
         // Content-only hash (chain seed 0): same tokens at any position map
         // to the same PIC key.
@@ -437,7 +462,18 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
         pic_index_[content] = blocks[i];
       }
     }
-  });
+    Refresh(&node);
+  };
+  // A split moves the tail of a run to a new node; candidacy is per node, so
+  // both halves are recomputed.
+  auto on_split = [this](Tree::Node& head, Tree::Node& tail) {
+    for (BlockId id : tail.value.blocks) {
+      pool_.SetNode(id, &tail);
+    }
+    Refresh(&head);
+    Refresh(&tail);
+  };
+  tree_.Insert(keys, sim_->Now(), on_new, on_split);
   MaybeArmSwap();
 }
 
@@ -501,51 +537,22 @@ void RtcMaster::SwapScan() {
   // their NPU copies once the (timed) copy lands. This keeps the synchronous
   // eviction path (EnsureNpuFree pass 1) stocked with droppable blocks.
   int64_t budget = config_.swap_batch_blocks;
-  auto swappable = [this](const Tree::Node& node) {
-    if (node.value.blocks.empty()) {
-      return false;
-    }
-    for (BlockId id : node.value.blocks) {
-      const BlockInfo& info = pool_.info(id);
-      if (info.ref_count > 0 || populate_pins_.count(id) > 0 || !info.resident(Tier::kNpu) ||
-          info.resident(Tier::kDram)) {
-        return false;
-      }
-    }
-    return true;
-  };
+  auto swappable = [](const Tree::Node& node) { return !node.value.has_dram; };
   std::vector<Tree::Node*> victims;
-  while (budget > 0) {
-    Tree::Node* victim = tree_.FindLruLeaf(swappable);
+  for (Tree::Node* from = tree_.LruFront(); budget > 0;) {
+    Tree::Node* victim = tree_.FindLruLeafFrom(from, swappable);
     if (victim == nullptr) {
       break;
     }
-    // Temporarily pin so FindLruLeaf does not return it again this scan.
-    for (BlockId id : victim->value.blocks) {
-      ++populate_pins_[id];
-    }
+    from = Tree::LruNext(victim);
     victims.push_back(victim);
     budget -= static_cast<int64_t>(victim->value.blocks.size());
   }
   for (Tree::Node* victim : victims) {
-    std::vector<BlockId> blocks = victim->value.blocks;
-    // Release the scan pins; Copy() takes its own.
-    for (BlockId id : blocks) {
-      auto pin = populate_pins_.find(id);
-      if (pin != populate_pins_.end() && --pin->second == 0) {
-        populate_pins_.erase(pin);
-      }
-    }
-    stats_.swapped_out_blocks += static_cast<int64_t>(blocks.size());
-    Copy(blocks, Tier::kDram, [this, blocks] {
-      for (BlockId id : blocks) {
-        if (pool_.Exists(id) && pool_.info(id).ref_count == 0 &&
-            pool_.info(id).resident(Tier::kDram)) {
-          pool_.DropResidency(id, Tier::kNpu);
-        }
-      }
-      SyncListeners();
-    });
+    stats_.swapped_out_blocks += static_cast<int64_t>(victim->value.blocks.size());
+    // Non-null completion: a copy with nothing to move still completes on
+    // the next tick, as it always has.
+    CopyBlocks(victim->value.blocks, Tier::kDram, /*demote=*/true, [] {});
   }
   MaybeArmSwap();
 }

@@ -29,18 +29,6 @@
 
 namespace deepserve::rtc {
 
-// Payload of one radix-tree node: the cached blocks covering its edge span.
-struct BlockRun {
-  std::vector<BlockId> blocks;
-
-  BlockRun SplitTail(size_t offset) {
-    BlockRun tail;
-    tail.blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(offset), blocks.end());
-    blocks.resize(offset);
-    return tail;
-  }
-};
-
 // Result of MatchByPrefixToken / MatchByID: which preserved blocks cover the
 // request, and where they live. `npu_tokens` counts the leading contiguous
 // run already NPU-resident; everything after it needs a Populate.
@@ -106,6 +94,9 @@ struct RtcStats {
   int64_t evicted_blocks = 0;    // NPU residency drops under pressure
   int64_t discarded_blocks = 0;  // cache entries lost entirely
   int64_t swapped_out_blocks = 0;
+  // Deterministic work counter: leaves the radix tree's LRU index examined
+  // (victim walks plus re-link positioning). Not exported as a metric.
+  int64_t lru_leaves_examined = 0;
 
   double TokenHitRate() const {
     return requested_tokens > 0
@@ -123,6 +114,7 @@ class RtcMaster {
 
   void SetTransferFn(TransferFn fn) { transfer_ = std::move(fn); }
   void AddListener(NpuBlockListener* listener) { listeners_.push_back(listener); }
+  void ClearListeners() { listeners_.clear(); }
 
   // ---- Table 1: match APIs -------------------------------------------------
   MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt);
@@ -149,7 +141,7 @@ class RtcMaster {
   MatchInfo TruncateMatch(const MatchInfo& info, int64_t max_tokens) const;
 
   // ---- Table 1: block APIs -------------------------------------------------
-  // Pins matched blocks for a sequence (one ref each) and refreshes LRU.
+  // Pins matched blocks for a sequence (one ref each).
   void Acquire(std::span<const BlockId> blocks);
   // Allocates n fresh NPU blocks for prefill, evicting cold cache as needed.
   [[nodiscard]] Result<std::vector<BlockId>> AllocBlocks(int64_t n);
@@ -180,6 +172,8 @@ class RtcMaster {
   int64_t npu_blocks_used() const { return pool_.used(Tier::kNpu); }
   int64_t npu_blocks_free() const { return pool_.free_blocks(Tier::kNpu); }
   size_t index_nodes() const { return tree_.NodeCount(); }
+  // The prefix index itself, read-only (audits and tests).
+  const CacheTree& index() const { return tree_; }
   // Deterministic snapshot of the explicit context cache: (id, cached token
   // count) sorted by id. The backing index is an unordered_map, so callers
   // (dumps, audits, tests) must come through this sorted view rather than
@@ -191,7 +185,7 @@ class RtcMaster {
   [[nodiscard]] Status EnsureNpuFree(int64_t n);
 
  private:
-  using Tree = RadixTree<BlockRun>;
+  using Tree = CacheTree;
 
   MatchInfo BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens);
   // Lazily registers this cache's trace track; -1 when tracing is disabled.
@@ -200,6 +194,19 @@ class RtcMaster {
   void SyncListeners();
   void MaybeArmSwap();
   void SwapScan();
+  // Recomputes a node's eviction candidacy and classes from its blocks'
+  // ref counts, pins and residency (BlockRun, RadixTree::SetEvictable).
+  // Every ref-count, pin and residency change of a cached block calls this.
+  void Refresh(Tree::Node* node);
+  // Refresh() for the index nodes holding `blocks` (blocks that no longer
+  // exist or are private are skipped).
+  void RefreshOwners(std::span<const BlockId> blocks);
+  // Releases one transfer pin per block (no Refresh).
+  void Unpin(std::span<const BlockId> blocks);
+  // Copy(); with `demote` (background swap-out), the NPU copy of every block
+  // that landed and is still unreferenced is dropped when the copy lands.
+  void CopyBlocks(std::span<const BlockId> blocks, Tier dst, bool demote,
+                  std::function<void()> on_complete);
   Tier LowestTierBelowNpu(const BlockInfo& info) const;
 
   sim::Simulator* sim_;

@@ -341,6 +341,7 @@ Status ClusterManager::StopTe(TeId id) {
   TaskExecutor* target = bindings_.at(id);
   AppendDir(ctrl::TeDirectory::kTeStopped, {id});
   target->set_state(TeState::kStopped);
+  target->engine().ReleaseHbm();
   ReleaseNpus(target->config().npus);
   return Status::Ok();
 }

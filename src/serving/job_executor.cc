@@ -295,12 +295,8 @@ TaskExecutor* JobExecutor::SelectFrom(const workload::RequestSpec& spec, PromptT
 }
 
 void JobExecutor::TrimTree(PromptTree& tree) {
-  while (tree.NodeCount() > config_.max_tree_nodes) {
-    auto* lru = tree.FindLruLeaf([](const PromptTree::Node&) { return true; });
-    if (lru == nullptr) {
-      break;
-    }
-    tree.RemoveLeaf(lru);
+  while (tree.NodeCount() > config_.max_tree_nodes && tree.LruFront() != nullptr) {
+    tree.RemoveLeaf(tree.LruFront());
   }
 }
 

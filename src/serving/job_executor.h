@@ -98,6 +98,9 @@ struct JeStats {
   int64_t locality_decisions = 0;
   int64_t load_decisions = 0;
   int64_t locality_hits = 0;  // dispatches with a non-empty prefix match
+  // Deterministic work counter: leaves the prompt trees' LRU indexes examined
+  // while recording routes and trimming. Not exported as a metric.
+  int64_t tree_leaves_examined = 0;
   // Cost-aware routing (JeConfig::cost_aware).
   int64_t cost_narrowed = 0;   // candidate sets actually narrowed by the filter
   int64_t cost_fallbacks = 0;  // no candidate fit the predicted context; kept all
@@ -258,8 +261,8 @@ class JobExecutor {
   std::vector<TaskExecutor*> decode_;
   std::map<JobId, ResponseHandler> handlers_;
 
-  PromptTree colocated_tree_;
-  PromptTree prefill_tree_;
+  PromptTree colocated_tree_{&stats_.tree_leaves_examined};
+  PromptTree prefill_tree_{&stats_.tree_leaves_examined};
 
   // Leader failover state.
   ClusterManager* cm_ = nullptr;

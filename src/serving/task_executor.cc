@@ -140,7 +140,9 @@ size_t TaskExecutor::Fail() {
   state_ = TeState::kFailed;
   handoffs_.clear();
   on_drained_ = nullptr;  // a crash supersedes any drain in progress
-  return engine_->Abort();
+  size_t aborted = engine_->Abort();
+  engine_->ReleaseHbm();  // the CM returns these NPUs to the free pool
+  return aborted;
 }
 
 void TaskExecutor::StartDrain(std::function<void()> on_drained) {

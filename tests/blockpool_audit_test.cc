@@ -85,16 +85,14 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
     Audit audit(&pool, &shadow);
     Rng rng(seed);
     BlockKey next_key = 1;
-    TimeNs now = 0;
 
     for (int step = 0; step < 2000; ++step) {
-      ++now;
       switch (rng.UniformInt(0, 6)) {
         case 0: {  // allocate 1..4 private blocks on a random tier
           Tier tier = static_cast<Tier>(rng.UniformInt(0, 2));
           int64_t n = rng.UniformInt(1, 4);
           int64_t used_before = pool.used(tier);
-          auto result = pool.Allocate(n, tier, now);
+          auto result = pool.Allocate(n, tier);
           if (result.ok()) {
             for (BlockId id : *result) {
               shadow[id] = ShadowBlock{1, TierBit(tier), false};
@@ -194,20 +192,20 @@ TEST(BlockPoolAuditTest, ExhaustedTierRejectsWithoutPartialAllocation) {
   config.npu_capacity = 4;
   config.dram_capacity = 4;
   BlockPool pool(config);
-  auto a = pool.Allocate(3, Tier::kNpu, 1);
+  auto a = pool.Allocate(3, Tier::kNpu);
   ASSERT_TRUE(a.ok());
-  auto b = pool.Allocate(2, Tier::kNpu, 2);
+  auto b = pool.Allocate(2, Tier::kNpu);
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(pool.used(Tier::kNpu), 3) << "failed allocation changed usage";
   EXPECT_EQ(pool.total_blocks(), 3u);
   // SSD is unbounded backing store.
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, 3).ok());
+  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd).ok());
 }
 
 TEST(BlockPoolAuditTest, PromoteThenDemoteKeepsOneCopyAccounted) {
   BlockPool pool(BlockPoolConfig{});
-  BlockId id = pool.Allocate(1, Tier::kNpu, 1).value()[0];
+  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));

@@ -312,6 +312,45 @@ TEST_F(FaultToleranceTest, NpusReleasedAfterKill) {
   EXPECT_TRUE(manager_->CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).ok());
 }
 
+// A crashed TE's warm RTC cache must not stay charged to the NPUs the CM
+// hands to its replacement: the replacement can fill its whole KV budget.
+TEST_F(FaultToleranceTest, ReplacementOnCrashedTesNpusCanFillItsKvBudget) {
+  flowserve::EngineConfig config = SmallEngine(flowserve::EngineRole::kColocated);
+  config.kv_block_capacity_override = 0;  // size the KV budget to the device HBM
+  auto* te1 = manager_->CreateReadyTe(config).value();
+  ASSERT_EQ(te1->config().npus.size(), 1u);
+  hw::Npu* npu = cluster_->npu(te1->config().npus.front());
+
+  // Warm cache: 90% of the NPU blocks preserved and unreferenced.
+  rtc::RtcMaster& warm_cache = te1->engine().rtc();
+  const int64_t warm = warm_cache.config().pool.npu_capacity * 9 / 10;
+  auto blocks = warm_cache.AllocBlocks(warm);
+  ASSERT_TRUE(blocks.ok());
+  std::vector<TokenId> tokens(static_cast<size_t>(warm * warm_cache.config().block_size));
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<TokenId>(i % 30000 + 1);
+  }
+  warm_cache.Preserve(tokens, *blocks);
+  warm_cache.Free(*blocks);
+  ASSERT_EQ(warm_cache.npu_blocks_used(), warm);
+  ASSERT_GT(npu->hbm_used(), 0u);
+
+  ASSERT_TRUE(manager_->KillTe(te1->id()).ok());
+  EXPECT_EQ(npu->hbm_used(), 0u);
+  auto* te2 = manager_->CreateReadyTe(config).value();
+  ASSERT_EQ(te2->config().npus, te1->config().npus);  // placed on the same device
+  rtc::RtcMaster& cache = te2->engine().rtc();
+  const int64_t fill = cache.config().pool.npu_capacity * 95 / 100;
+  // Before the fix the device still carried te1's cache and this allocation
+  // aborted on the RTC executor's HBM check.
+  ASSERT_TRUE(cache.AllocBlocks(fill).ok());
+  EXPECT_EQ(npu->hbm_used(), static_cast<Bytes>(fill) * cache.config().bytes_per_block);
+  // The dead TE's cache can still change (in-flight transfers, eviction)
+  // without charging the device again.
+  ASSERT_TRUE(warm_cache.EnsureNpuFree(warm_cache.config().pool.npu_capacity).ok());
+  EXPECT_EQ(npu->hbm_used(), static_cast<Bytes>(fill) * cache.config().bytes_per_block);
+}
+
 // ---------------- Deferred detection (CrashTe) ----------------
 
 TEST_F(FaultToleranceTest, NpuCrashDetectionLandsOnHeartbeatGrid) {

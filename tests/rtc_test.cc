@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
 #include <numeric>
+#include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/time_units.h"
 #include "common/types.h"
 #include "hw/npu.h"
@@ -141,7 +147,7 @@ TEST(RadixTreeTest, LruLeafSelection) {
   tree.Insert(b, /*now=*/20);
   auto* lru = tree.FindLruLeaf([](const auto&) { return true; });
   ASSERT_NE(lru, nullptr);
-  EXPECT_EQ(lru->last_access, 10);
+  EXPECT_EQ(lru->last_access(), 10);
   tree.RemoveLeaf(lru);
   EXPECT_EQ(tree.NodeCount(), 1u);
 }
@@ -157,23 +163,23 @@ TEST(RadixTreeTest, MatchDoesNotCreateNodes) {
 
 TEST(BlockPoolTest, AllocateRespectsCapacity) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 2});
-  auto a = pool.Allocate(4, Tier::kNpu, 0);
+  auto a = pool.Allocate(4, Tier::kNpu);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(pool.free_blocks(Tier::kNpu), 0);
-  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu, 0).ok());
-  EXPECT_TRUE(pool.Allocate(2, Tier::kDram, 0).ok());
+  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu).ok());
+  EXPECT_TRUE(pool.Allocate(2, Tier::kDram).ok());
 }
 
 TEST(BlockPoolTest, FailedAllocateIsAtomic) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 0});
-  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, 0).ok());
-  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu, 0).ok());
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu).ok());
+  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu).ok());
   EXPECT_EQ(pool.used(Tier::kNpu), 3);
 }
 
 TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(2, Tier::kNpu, 0).value();
+  auto blocks = pool.Allocate(2, Tier::kNpu).value();
   pool.Unref(blocks[0]);
   EXPECT_FALSE(pool.Exists(blocks[0]));
   EXPECT_EQ(pool.used(Tier::kNpu), 1);
@@ -181,7 +187,7 @@ TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
 
 TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(1, Tier::kNpu, 0).value();
+  auto blocks = pool.Allocate(1, Tier::kNpu).value();
   pool.SetKey(blocks[0], 0xabc);
   pool.Unref(blocks[0]);
   EXPECT_TRUE(pool.Exists(blocks[0]));
@@ -190,7 +196,7 @@ TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
 
 TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu, 0).value()[0];
+  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));
@@ -206,7 +212,7 @@ TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
 
 TEST(BlockPoolTest, DestroyReleasesAllTiers) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu, 0).value()[0];
+  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   pool.SetKey(id, 7);
   pool.Unref(id);
@@ -218,7 +224,7 @@ TEST(BlockPoolTest, DestroyReleasesAllTiers) {
 
 TEST(BlockPoolTest, SsdIsUnbounded) {
   BlockPool pool({.npu_capacity = 1, .dram_capacity = 1});
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, 0).ok());
+  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd).ok());
 }
 
 // ---------------- RtcMaster ----------------
@@ -454,6 +460,365 @@ TEST_F(RtcMasterTest, TokenHitRateTracksReuse) {
   PrefillAndPreserve(tokens);
   master_->MatchByPrefixToken(tokens);  // hit: 64 requested, 64 matched
   EXPECT_NEAR(master_->stats().TokenHitRate(), 0.5, 0.01);
+}
+
+// ---------------- Victim-sequence equivalence ----------------
+//
+// RtcMaster walks an incremental LRU index of candidate runs. Its victims
+// must be exactly those of the original full-scan implementation: each time,
+// the least-recently-used leaf whose blocks all satisfy the pass's predicate,
+// ties going to the first leaf in ascending key order. The fixture drives a
+// randomized workload (admissions with populate, commits, swap scans, direct
+// eviction) and re-derives every victim from the cache index and the block
+// pool with that naive scan. It holds every transfer itself, so it knows
+// exactly which blocks are pinned.
+class RtcVictimSequenceTest : public ::testing::Test {
+ protected:
+  using Node = CacheTree::Node;
+  enum class Pass { kSwap, kDrop, kDiscard };
+  static constexpr int kBlock = 4;  // tokens per block
+
+  struct Seq {
+    std::vector<TokenId> prompt;
+    std::vector<BlockId> blocks;
+  };
+  struct Transfer {
+    std::vector<BlockId> blocks;
+    std::function<void()> done;
+  };
+  struct Expected {
+    std::set<BlockId> dropped;    // pass 1: NPU copy released
+    std::set<BlockId> destroyed;  // pass 2: discarded outright
+  };
+
+  // A fresh simulator, cache and harness state.
+  void Build() {
+    master_.reset();
+    sim_ = std::make_unique<sim::Simulator>();
+    live_.clear();
+    transfers_.clear();
+    pins_.clear();
+    tracked_.clear();
+    expected_swaps_.clear();
+    RtcConfig config;
+    config.block_size = kBlock;
+    config.pool.npu_capacity = 96;
+    config.pool.dram_capacity = 1 << 20;  // never full: every swap copy lands
+    config.bytes_per_block = 1 << 20;
+    config.enable_background_swap = true;
+    master_ = std::make_unique<RtcMaster>(sim_.get(), config);
+    master_->SetTransferFn([this](Tier src, Tier dst, Bytes bytes, std::function<void()> done) {
+      OnTransfer(src, dst, bytes, std::move(done));
+    });
+  }
+
+  const BlockPool& pool() const { return master_->pool(); }
+
+  // Residency as of the start of the current swap scan: the DRAM copy its
+  // first transfer just added (`reverted_`) is undone.
+  uint8_t Residency(BlockId id) const {
+    uint8_t r = pool().info(id).residency;
+    return reverted_.count(id) > 0 ? static_cast<uint8_t>(r & ~TierBit(Tier::kDram)) : r;
+  }
+
+  // The original per-leaf predicates.
+  bool Qualifies(const Node& node, Pass pass) const {
+    if (node.value.blocks.empty()) {
+      return false;
+    }
+    for (BlockId id : node.value.blocks) {
+      const BlockInfo& info = pool().info(id);
+      uint8_t residency = Residency(id);
+      if (info.ref_count > 0 || pins_.count(id) > 0 || (residency & TierBit(Tier::kNpu)) == 0) {
+        return false;
+      }
+      if (pass == Pass::kSwap && (residency & TierBit(Tier::kDram)) != 0) {
+        return false;
+      }
+      if (pass == Pass::kDrop && residency == TierBit(Tier::kNpu)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Leaves of the index minus `removed`, in ascending key (pre-)order.
+  void Leaves(const Node* node, const std::set<const Node*>& removed,
+              std::vector<const Node*>* out) const {
+    bool leaf = true;
+    node->children.ForEach([&](BlockKey, const Node* child) {
+      if (removed.count(child) == 0) {
+        leaf = false;
+        Leaves(child, removed, out);
+      }
+    });
+    if (leaf && node != master_->index().root()) {
+      out->push_back(node);
+    }
+  }
+
+  // The original FindLruLeaf: a full scan keeping the first strict minimum.
+  const Node* NaiveLru(Pass pass, const std::set<const Node*>& removed,
+                       const std::set<const Node*>& taken) const {
+    std::vector<const Node*> leaves;
+    Leaves(master_->index().root(), removed, &leaves);
+    const Node* best = nullptr;
+    for (const Node* leaf : leaves) {
+      if (taken.count(leaf) == 0 && Qualifies(*leaf, pass) &&
+          (best == nullptr || leaf->last_access() < best->last_access())) {
+        best = leaf;
+      }
+    }
+    return best;
+  }
+
+  // The original EnsureNpuFree(n): pass 1 drops backed NPU copies, pass 2
+  // discards runs (a parent left childless becomes a leaf).
+  Expected ReferenceEnsureNpuFree(int64_t n) const {
+    Expected out;
+    int64_t free = pool().free_blocks(Tier::kNpu);
+    std::set<const Node*> removed;
+    std::set<const Node*> off_npu;
+    while (free < n) {
+      const Node* victim = NaiveLru(Pass::kDrop, removed, off_npu);
+      if (victim == nullptr) {
+        break;
+      }
+      off_npu.insert(victim);
+      out.dropped.insert(victim->value.blocks.begin(), victim->value.blocks.end());
+      free += static_cast<int64_t>(victim->value.blocks.size());
+    }
+    while (free < n) {
+      const Node* victim = NaiveLru(Pass::kDiscard, removed, off_npu);
+      if (victim == nullptr) {
+        break;
+      }
+      removed.insert(victim);
+      out.destroyed.insert(victim->value.blocks.begin(), victim->value.blocks.end());
+      free += static_cast<int64_t>(victim->value.blocks.size());
+    }
+    return out;
+  }
+
+  // The original SwapScan selection.
+  std::deque<std::vector<BlockId>> ReferenceSwapScan() const {
+    std::deque<std::vector<BlockId>> out;
+    std::set<const Node*> taken;
+    for (int64_t budget = master_->config().swap_batch_blocks; budget > 0;) {
+      const Node* victim = NaiveLru(Pass::kSwap, {}, taken);
+      if (victim == nullptr) {
+        break;
+      }
+      taken.insert(victim);
+      std::vector<BlockId> blocks = victim->value.blocks;
+      std::sort(blocks.begin(), blocks.end());  // OnTransfer sees them by id
+      out.push_back(std::move(blocks));
+      budget -= static_cast<int64_t>(victim->value.blocks.size());
+    }
+    return out;
+  }
+
+  std::map<BlockId, uint8_t> Snapshot() const {
+    std::map<BlockId, uint8_t> out;
+    for (BlockId id : tracked_) {
+      if (pool().Exists(id)) {
+        out[id] = pool().info(id).residency;
+      }
+    }
+    return out;
+  }
+
+  // Every transfer is held until the test completes it. The blocks it moves
+  // are the ones that just gained residency on `dst`; a swap-out copy is
+  // checked against the reference scan (computed at the scan's first copy,
+  // with that copy's DRAM residency virtually undone).
+  void OnTransfer(Tier src, Tier dst, Bytes bytes, std::function<void()> done) {
+    std::vector<BlockId> moved;
+    for (const auto& [id, residency] : seen_) {
+      if (pool().Exists(id) && (residency & TierBit(dst)) == 0 &&
+          pool().info(id).resident(dst)) {
+        moved.push_back(id);
+      }
+    }
+    EXPECT_EQ(static_cast<Bytes>(moved.size()) * master_->config().bytes_per_block, bytes);
+    if (src == Tier::kNpu && dst == Tier::kDram && !checkpointing_) {
+      if (expected_swaps_.empty()) {
+        reverted_.insert(moved.begin(), moved.end());
+        expected_swaps_ = ReferenceSwapScan();
+        reverted_.clear();
+      }
+      if (expected_swaps_.empty()) {
+        ADD_FAILURE() << "swap-out the full-scan reference would not make";
+      } else {
+        EXPECT_EQ(moved, expected_swaps_.front()) << "swap victim " << swaps_checked_;
+        expected_swaps_.pop_front();
+      }
+      ++swaps_checked_;
+    }
+    for (BlockId id : moved) {
+      ++pins_[id];
+    }
+    transfers_.push_back(Transfer{std::move(moved), std::move(done)});
+    seen_ = Snapshot();
+  }
+
+  // Compares what an evicting call actually dropped and destroyed with the
+  // reference, given the state before it.
+  void CheckEviction(const std::map<BlockId, uint8_t>& before, const Expected& expected) {
+    Expected actual;
+    for (const auto& [id, residency] : before) {
+      if (!pool().Exists(id)) {
+        actual.destroyed.insert(id);
+      } else if ((residency & TierBit(Tier::kNpu)) != 0 && !pool().info(id).resident(Tier::kNpu)) {
+        actual.dropped.insert(id);
+      }
+    }
+    EXPECT_EQ(actual.dropped, expected.dropped);
+    EXPECT_EQ(actual.destroyed, expected.destroyed);
+    dropped_checked_ += static_cast<int64_t>(expected.dropped.size());
+    destroyed_checked_ += static_cast<int64_t>(expected.destroyed.size());
+  }
+
+  void Track(std::span<const BlockId> blocks) { tracked_.insert(blocks.begin(), blocks.end()); }
+
+  void Admit(Rng& rng) {
+    Seq seq;
+    seq.prompt = prefixes_[static_cast<size_t>(rng.UniformInt(0, 5))];
+    int64_t suffix_blocks = rng.UniformInt(0, 6);
+    for (int64_t i = 0; i < suffix_blocks * kBlock; ++i) {
+      seq.prompt.push_back(static_cast<TokenId>(rng.UniformInt(1, 3)));
+    }
+    MatchInfo info = master_->MatchByPrefixToken(seq.prompt);
+    master_->Acquire(info.blocks);
+    seq.blocks = info.blocks;
+    if (info.needs_populate()) {
+      int64_t needed = 0;
+      for (BlockId id : info.blocks) {
+        needed += pool().info(id).resident(Tier::kNpu) ? 0 : 1;
+      }
+      auto before = Snapshot();
+      Expected expected = ReferenceEnsureNpuFree(needed);
+      bool ok = master_->Populate(info).ok();
+      CheckEviction(before, expected);
+      if (!ok) {
+        master_->Free(seq.blocks);
+        return;
+      }
+    }
+    int64_t fresh = static_cast<int64_t>(seq.prompt.size()) / kBlock + 1 -
+                    static_cast<int64_t>(seq.blocks.size());
+    auto before = Snapshot();
+    Expected expected = ReferenceEnsureNpuFree(fresh);
+    auto blocks = master_->AllocBlocks(fresh);
+    CheckEviction(before, expected);
+    if (!blocks.ok()) {
+      master_->Free(seq.blocks);
+      return;
+    }
+    Track(*blocks);
+    seq.blocks.insert(seq.blocks.end(), blocks->begin(), blocks->end());
+    live_.push_back(std::move(seq));
+  }
+
+  void Finish(Rng& rng) {
+    size_t i = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live_.size()) - 1));
+    master_->Preserve(live_[i].prompt, live_[i].blocks);
+    master_->Free(live_[i].blocks);
+    live_.erase(live_.begin() + static_cast<ptrdiff_t>(i));
+  }
+
+  // Explicit checkpoint of a live sequence to DRAM: once it finishes, its
+  // runs have a lower-tier copy, so they feed eviction pass 1.
+  void Checkpoint(Rng& rng) {
+    const Seq& seq =
+        live_[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live_.size()) - 1))];
+    checkpointing_ = true;
+    master_->Copy(seq.blocks, Tier::kDram, nullptr);
+    checkpointing_ = false;
+  }
+
+  void CompleteTransfer(Rng& rng) {
+    size_t i =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(transfers_.size()) - 1));
+    Transfer transfer = std::move(transfers_[i]);
+    transfers_.erase(transfers_.begin() + static_cast<ptrdiff_t>(i));
+    for (BlockId id : transfer.blocks) {
+      if (--pins_[id] == 0) {
+        pins_.erase(id);
+      }
+    }
+    transfer.done();
+  }
+
+  void Run(uint64_t seed) {
+    Build();
+    Rng rng(seed);
+    prefixes_.clear();
+    for (int p = 0; p < 6; ++p) {
+      // Prefixes share their opening blocks with each other so edges split.
+      std::vector<TokenId> prefix(static_cast<size_t>(rng.UniformInt(2, 10) * kBlock));
+      for (size_t t = 0; t < prefix.size(); ++t) {
+        prefix[t] = static_cast<TokenId>(t < 2 * kBlock ? 7 + p % 2 : rng.UniformInt(1, 3));
+      }
+      prefixes_.push_back(std::move(prefix));
+    }
+    for (int step = 0; step < 1500; ++step) {
+      seen_ = Snapshot();
+      int op = static_cast<int>(rng.UniformInt(0, 9));
+      if (op <= 2) {
+        Admit(rng);
+      } else if (op <= 4 && !live_.empty()) {
+        if (rng.Bernoulli(0.3)) {
+          Checkpoint(rng);
+        } else {
+          Finish(rng);
+        }
+      } else if (op <= 6 && !transfers_.empty()) {
+        CompleteTransfer(rng);
+      } else if (op == 7) {
+        auto before = Snapshot();
+        int64_t n = rng.UniformInt(1, master_->config().pool.npu_capacity);
+        Expected expected = ReferenceEnsureNpuFree(n);
+        (void)master_->EnsureNpuFree(n);  // may legitimately fall short
+        CheckEviction(before, expected);
+      } else {
+        // Same-time operations leave last-access ties; time moves on only
+        // here, sometimes far enough for the background swap to run.
+        sim_->RunUntil(sim_->Now() + MsToNs(static_cast<double>(rng.UniformInt(1, 80))));
+        EXPECT_TRUE(expected_swaps_.empty()) << "reference swap victims left unswapped";
+        expected_swaps_.clear();
+      }
+      if (HasFailure()) {
+        FAIL() << "seed " << seed << " step " << step;
+      }
+    }
+  }
+
+  std::unique_ptr<sim::Simulator> sim_;
+  std::unique_ptr<RtcMaster> master_;
+  std::vector<std::vector<TokenId>> prefixes_;
+  std::vector<Seq> live_;
+  std::vector<Transfer> transfers_;
+  std::map<BlockId, int> pins_;
+  std::set<BlockId> tracked_;
+  std::set<BlockId> reverted_;
+  std::map<BlockId, uint8_t> seen_;
+  std::deque<std::vector<BlockId>> expected_swaps_;
+  bool checkpointing_ = false;
+  int64_t swaps_checked_ = 0;
+  int64_t dropped_checked_ = 0;
+  int64_t destroyed_checked_ = 0;
+};
+
+TEST_F(RtcVictimSequenceTest, SwapDropAndDiscardVictimsMatchFullScanReference) {
+  for (uint64_t seed : {11ull, 29ull, 47ull}) {
+    Run(seed);
+    ASSERT_FALSE(HasFailure());
+  }
+  // The workload reached every victim path.
+  EXPECT_GT(swaps_checked_, 100);
+  EXPECT_GT(dropped_checked_, 100);
+  EXPECT_GT(destroyed_checked_, 100);
 }
 
 TEST(RtcExecutorTest, MirrorsBlockTrafficOntoNpu) {

@@ -43,7 +43,7 @@ bool IsSyncCallee(const std::string& name) {
       "adjacent_find", "is_sorted", "partition_point", "binary_search",
       "visit", "apply", "clamp",
       // Project-local synchronous visitors (rtc::RadixTree / FlatMap).
-      "ForEach", "VisitLeaves", "VisitSubtree"};
+      "ForEach", "VisitSubtree"};
   return kSync->count(name) > 0;
 }
 
