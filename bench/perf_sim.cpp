@@ -29,7 +29,9 @@
 // wall seconds and requests per wall second beside its deterministic work
 // counters per request — LRU leaves examined by the RTC caches and by the
 // JE prompt trees — at the full horizon and at half of it, their ratio
-// (`work_growth`), its `timeline_hash` and `replay_identical`.
+// (`work_growth`), the JE control log's appended and retained record counts
+// (the retained count at both horizons), its `timeline_hash` and
+// `replay_identical`.
 //
 // Flags (plus the ObsSession observability flags):
 //   --out=PATH   JSON artifact path (default BENCH_perf.json)
@@ -39,8 +41,9 @@
 //                (b) cancel_storm shows >= 3x events/sec over the legacy
 //                core replica, (c) long_horizon replays bit-identically and
 //                (d) its LRU work per request at the full horizon is at most
-//                kMaxWorkGrowth x that at half the horizon. Wall time is
-//                recorded, never gated.
+//                kMaxWorkGrowth x that at half the horizon and (e) the JE
+//                control log retains no more records at the full horizon
+//                than at half of it. Wall time is recorded, never gated.
 
 #include <algorithm>
 #include <chrono>
@@ -399,6 +402,8 @@ struct LongHorizonResult {
   ReplayResult replay;
   int64_t rtc_lru_examined = 0;  // summed over every TE's RTC caches
   int64_t je_tree_examined = 0;
+  int64_t je_log_appended = 0;  // JE control-log records ever appended
+  int64_t je_log_retained = 0;  // records the log still holds at the end
 
   double PerRequest(int64_t work) const {
     return replay.requests > 0 ? static_cast<double>(work) / static_cast<double>(replay.requests)
@@ -436,6 +441,9 @@ LongHorizonResult RunLongHorizon(double duration_s, uint64_t seed) {
     }
   }
   r.je_tree_examined = bed.je().stats().tree_leaves_examined;
+  const ctrl::ControlLog* log = bed.je().control_log();
+  r.je_log_appended = static_cast<int64_t>(log->next_seq());
+  r.je_log_retained = static_cast<int64_t>(log->records().size());
   return r;
 }
 
@@ -499,7 +507,9 @@ int RunAll(const Options& opt) {
   bool lh_identical = lh.replay.timeline_hash == lh2.replay.timeline_hash &&
                       lh.replay.perf.events == lh2.replay.perf.events &&
                       lh.rtc_lru_examined == lh2.rtc_lru_examined &&
-                      lh.je_tree_examined == lh2.je_tree_examined;
+                      lh.je_tree_examined == lh2.je_tree_examined &&
+                      lh.je_log_appended == lh2.je_log_appended &&
+                      lh.je_log_retained == lh2.je_log_retained;
   double lh_req_per_s =
       static_cast<double>(lh.replay.requests) / std::max(lh.replay.perf.wall_s, 1e-9);
   double work_growth = lh.WorkPerRequest() / std::max(half.WorkPerRequest(), 1e-9);
@@ -513,6 +523,10 @@ int RunAll(const Options& opt) {
               kLongHorizonSeconds, half.PerRequest(half.rtc_lru_examined),
               half.PerRequest(half.je_tree_examined), kLongHorizonSeconds / 2, work_growth,
               kMaxWorkGrowth);
+  std::printf("long_horizon JE control log: %" PRId64 " records appended, %" PRId64
+              " retained at %.0f sim-s (%" PRId64 " at %.0f sim-s)\n",
+              lh.je_log_appended, lh.je_log_retained, kLongHorizonSeconds, half.je_log_retained,
+              kLongHorizonSeconds / 2);
 
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
@@ -555,14 +569,18 @@ int RunAll(const Options& opt) {
                "\"je_tree_leaves_examined_per_request\": %.3f, "
                "\"half_horizon_rtc_lru_leaves_examined_per_request\": %.3f, "
                "\"half_horizon_je_tree_leaves_examined_per_request\": %.3f, "
-               "\"work_growth\": %.4f, \"timeline_hash\": \"%016" PRIx64
+               "\"work_growth\": %.4f, \"je_log_records_appended\": %" PRId64
+               ", \"je_log_records_retained\": %" PRId64
+               ", \"half_horizon_je_log_records_retained\": %" PRId64
+               ", \"timeline_hash\": \"%016" PRIx64
                "\", \"replay_identical\": %s}\n",
                kLongHorizonTes, kLongHorizonRps, kLongHorizonSeconds, lh.replay.requests,
                lh.replay.completed,
                lh.replay.perf.events, lh.replay.perf.wall_s, lh_req_per_s,
                lh.PerRequest(lh.rtc_lru_examined), lh.PerRequest(lh.je_tree_examined),
                half.PerRequest(half.rtc_lru_examined), half.PerRequest(half.je_tree_examined),
-               work_growth, lh.replay.timeline_hash, lh_identical ? "true" : "false");
+               work_growth, lh.je_log_appended, lh.je_log_retained, half.je_log_retained,
+               lh.replay.timeline_hash, lh_identical ? "true" : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "perf_sim: wrote %s\n", opt.out.c_str());
@@ -591,6 +609,14 @@ int RunAll(const Options& opt) {
                    work_growth, kLongHorizonSeconds / 2, kLongHorizonSeconds, kMaxWorkGrowth);
       return 1;
     }
+    if (lh.je_log_retained > half.je_log_retained) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: long_horizon JE control log retains %" PRId64
+                   " records at %.0f sim-s but %" PRId64 " at %.0f sim-s\n",
+                   lh.je_log_retained, kLongHorizonSeconds, half.je_log_retained,
+                   kLongHorizonSeconds / 2);
+      return 1;
+    }
     if (storm_speedup < 3.0) {
       std::fprintf(stderr,
                    "SMOKE FAIL: cancel_storm speedup %.2fx < 3x over the legacy core "
@@ -600,8 +626,8 @@ int RunAll(const Options& opt) {
     }
     std::fprintf(stderr,
                  "smoke OK: replays bit-identical, cancel_storm %.2fx vs legacy, long_horizon "
-                 "LRU work growth %.3fx\n",
-                 storm_speedup, work_growth);
+                 "LRU work growth %.3fx, JE log retains %" PRId64 " of %" PRId64 " records\n",
+                 storm_speedup, work_growth, lh.je_log_retained, lh.je_log_appended);
   }
   return 0;
 }
@@ -615,8 +641,8 @@ int main(int argc, char** argv) {
   registry.Flag("seed", &opt.seed, "workload seed");
   registry.Flag("smoke", &opt.smoke,
                 "fast run; exits non-zero unless replays are bit-identical, the "
-                "slab core beats the legacy heap on cancel_storm and long_horizon LRU "
-                "work per request stays flat");
+                "slab core beats the legacy heap on cancel_storm, long_horizon LRU "
+                "work per request stays flat and its JE control log stays bounded");
   std::vector<char*> obs_args = registry.Parse(argc, argv);
   bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
   return RunAll(opt);

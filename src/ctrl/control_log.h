@@ -14,9 +14,7 @@
 //     sim time, stores the record, and applies it inline to the attached
 //     state machine of that domain. The leader is collocated with its state
 //     machine, so the leader-visible apply is synchronous — NO simulator
-//     events are scheduled per record, even with replication on. Replication
-//     to standbys happens in the background and only becomes observable at
-//     failover.
+//     events are scheduled per record, even with replication on.
 //   * A standby's lag is computed analytically when a leader crashes:
 //     records appended within `replication_latency` of the crash have not
 //     reached the standby yet, so takeover costs
@@ -29,13 +27,26 @@
 // This keeps the event stream of every non-failover run untouched (the
 // 3-seed golden parity test pins that), while still charging honest time for
 // failover itself.
+//
+// Memory model: the log stores only its unreplicated tail. Each domain owns a
+// standby replica — a fresh instance of the first attached machine's type
+// (CtrlStateMachine::NewReplica) that changes only by applying log records in
+// sequence order. Whenever a record falls out of the replication window it is
+// applied to its domain's standby and dropped, so the log retains exactly
+// the records UnreplicatedAt() counts plus the newest one (the reference
+// Append returns): one record with replication_latency == 0. Invariant: no
+// record is dropped before a standby has applied it; a domain that was never
+// attached has no standby, so its oldest record pins the log until it is.
+// ReplayInto() copies the standby and replays the retained tail, so a
+// failover's host work is O(tail) records, not O(history).
 #ifndef DEEPSERVE_CTRL_CONTROL_LOG_H_
 #define DEEPSERVE_CTRL_CONTROL_LOG_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "common/time_units.h"
@@ -77,46 +88,65 @@ class ControlLog {
 
   // Attaches the live (leader) instance for sm->domain(): every subsequent
   // Append of that domain is applied to it inline. One attachment per domain;
-  // re-attaching replaces the previous instance (failover swap).
+  // re-attaching replaces the previous instance (failover swap). The first
+  // attachment of a domain creates its standby replica from sm->NewReplica();
+  // later ones must attach a machine of the same type.
   void Attach(CtrlStateMachine* sm);
+  // Stops leader-applying the domain's records. Its standby keeps folding.
   void Detach(int32_t domain);
 
-  // Sequences, stamps, stores, and leader-applies one record. The returned
-  // reference is valid until the next Append.
+  // Sequences, stamps, stores, and leader-applies one record, then folds
+  // every record that left the replication window into its standby. The
+  // returned reference is valid until the next Append.
   const LogRecord& Append(LogRecord record);
 
-  // Replays every stored record of sm->domain() into `sm`, oldest first.
-  // Pair with Fingerprint() to prove log completeness (a late joiner built
-  // from nothing must equal the live instance).
-  void ReplayInto(CtrlStateMachine* sm) const;
-  // Snapshot + replay for late joiners: applies only records with
-  // seq > after_seq. The "snapshot" is any copy of the machine taken at
-  // after_seq (the state machines are plain-value copyable).
-  void ReplayRange(CtrlStateMachine* sm, uint64_t after_seq) const;
+  // Rebuilds `sm`, which must be fresh, as the fold of every record of
+  // sm->domain() ever appended: copies the domain's standby (if it has one)
+  // and replays the retained records of the domain, oldest first. Returns the
+  // number of records replayed. Pair with Fingerprint() to prove log
+  // completeness (a late joiner built from the log must equal the live
+  // instance).
+  int64_t ReplayInto(CtrlStateMachine* sm) const;
 
-  // Records of `domain` appended so far.
+  // Records of `domain` appended so far (O(1)).
   int64_t CountDomain(int32_t domain) const;
   // Records appended within replication_latency of `crash_time` — the tail a
-  // standby has not applied when the leader dies at crash_time.
+  // standby has not applied when the leader dies at crash_time. Only older
+  // records are folded away, so `crash_time` must not precede the newest
+  // append (sim time never runs backwards, so every real crash satisfies it).
   int64_t UnreplicatedAt(TimeNs crash_time) const;
   // Total takeover delay for a leader crash at `crash_time` (see file
   // comment). Meaningless when !replicated().
   DurationNs FailoverDelay(TimeNs crash_time) const;
 
+  // The domain's standby replica, or nullptr before its first Attach.
+  const CtrlStateMachine* standby(int32_t domain) const;
   bool replicated() const { return config_.replicas > 1; }
   const CtrlConfig& config() const { return config_; }
-  const std::vector<LogRecord>& records() const { return records_; }
+  // The retained tail, oldest first — NOT the whole history: next_seq() and
+  // CountDomain() count every record ever appended.
+  const std::deque<LogRecord>& records() const { return records_; }
   uint64_t next_seq() const { return next_seq_; }
-  const std::map<int32_t, std::string>& domains() const { return domain_names_; }
 
  private:
+  struct Domain {
+    std::string name;
+    CtrlStateMachine* leader = nullptr;
+    std::unique_ptr<CtrlStateMachine> standby;
+    int64_t appended = 0;
+  };
+
+  Domain& FindDomain(int32_t domain);
+  const Domain& FindDomain(int32_t domain) const;
+  // Applies every replicated record but the newest to its standby and drops it.
+  void Fold();
+
   sim::Simulator* sim_;
   CtrlConfig config_;
-  std::vector<LogRecord> records_;
+  std::deque<LogRecord> records_;
   uint64_t next_seq_ = 0;
   int32_t next_domain_ = 1;
-  std::map<int32_t, std::string> domain_names_;
-  std::map<int32_t, CtrlStateMachine*> attached_;
+  std::map<int32_t, Domain> domains_;
 };
 
 }  // namespace deepserve::ctrl

@@ -7,12 +7,13 @@
 //   state == fold(Apply, initial_state, log_prefix)
 //
 // for every replica, bit-for-bit. A standby that replays the same prefix owns
-// the same state as the leader did, so leader failover is: replay the tail,
-// bump the epoch, resume. Fingerprint() folds every field that participates
-// in that contract into one hash; the failover path DS_CHECKs that a fresh
-// replay fingerprints identically to the live instance before swapping it in,
-// which forces every mutation to flow through the log (ds_lint's
-// ctrl-apply-only rule enforces the same thing statically).
+// the same state as the leader did, so leader failover is: copy the log's
+// standby replica, replay the tail, bump the epoch, resume. Fingerprint()
+// folds every field that participates in that contract into one hash; the
+// failover path DS_CHECKs that a fresh replay fingerprints identically to the
+// live instance before swapping it in, which forces every mutation to flow
+// through the log (ds_lint's ctrl-apply-only rule enforces the same thing
+// statically).
 //
 // Decisions stay outside: a leader computes what to do from const views of
 // the state machine, then appends a record describing the outcome. Apply()
@@ -22,6 +23,7 @@
 #define DEEPSERVE_CTRL_CTRL_STATE_MACHINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,8 +49,8 @@ class CtrlStateMachine {
  public:
   explicit CtrlStateMachine(int32_t domain) : domain_(domain) {}
   virtual ~CtrlStateMachine() = default;
-  // State machines are plain values: copies are snapshots (ReplayRange picks
-  // up from one), and failover swaps a replayed standby in by assignment.
+  // State machines are plain values: copies are snapshots (ReplayInto starts
+  // from one), and failover swaps a replayed standby in by assignment.
   CtrlStateMachine(const CtrlStateMachine&) = default;
   CtrlStateMachine& operator=(const CtrlStateMachine&) = default;
   CtrlStateMachine(CtrlStateMachine&&) = default;
@@ -64,6 +66,13 @@ class CtrlStateMachine {
   // Order-stable hash over every replicated field. Two instances with equal
   // fingerprints after the same prefix are interchangeable.
   virtual uint64_t Fingerprint() const = 0;
+  // A fresh instance of this machine's concrete type on the same domain, in
+  // the pre-log initial state. ControlLog builds each domain's standby
+  // replica from it.
+  virtual std::unique_ptr<CtrlStateMachine> NewReplica() const = 0;
+  // Overwrites this machine with `other`'s state (a snapshot restore);
+  // `other` must have the same concrete type.
+  virtual void CopyFrom(const CtrlStateMachine& other) = 0;
 
  protected:
   // FNV-1a fold helpers shared by subclasses' Fingerprint().

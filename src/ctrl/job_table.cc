@@ -193,4 +193,10 @@ uint64_t JobTable::Fingerprint() const {
   return hash;
 }
 
+void JobTable::CopyFrom(const CtrlStateMachine& other) {
+  const auto* source = dynamic_cast<const JobTable*>(&other);
+  DS_CHECK(source != nullptr) << "CopyFrom a " << other.name() << " into a " << name();
+  *this = *source;
+}
+
 }  // namespace deepserve::ctrl

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -54,6 +55,10 @@ class JobTable final : public CtrlStateMachine {
   std::string_view name() const override { return "job-table"; }
   void Apply(const LogRecord& record) override;
   uint64_t Fingerprint() const override;
+  std::unique_ptr<CtrlStateMachine> NewReplica() const override {
+    return std::make_unique<JobTable>(domain());
+  }
+  void CopyFrom(const CtrlStateMachine& other) override;
 
   // ---- const views the leader decides from ----------------------------------
   const std::vector<workload::JobRecord>& jobs() const { return jobs_; }

@@ -197,4 +197,10 @@ uint64_t TeDirectory::Fingerprint() const {
   return hash;
 }
 
+void TeDirectory::CopyFrom(const CtrlStateMachine& other) {
+  const auto* source = dynamic_cast<const TeDirectory*>(&other);
+  DS_CHECK(source != nullptr) << "CopyFrom a " << other.name() << " into a " << name();
+  *this = *source;
+}
+
 }  // namespace deepserve::ctrl

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -77,6 +78,10 @@ class TeDirectory final : public CtrlStateMachine {
   std::string_view name() const override { return "te-directory"; }
   void Apply(const LogRecord& record) override;
   uint64_t Fingerprint() const override;
+  std::unique_ptr<CtrlStateMachine> NewReplica() const override {
+    return std::make_unique<TeDirectory>(domain());
+  }
+  void CopyFrom(const CtrlStateMachine& other) override;
 
   // ---- const views the leader decides from ----------------------------------
   const std::map<int32_t, TeMeta>& entries() const { return tes_; }

@@ -567,7 +567,7 @@ Status ClusterManager::CrashControlLeader() {
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "fault.cm_crash",
                {obs::Arg("replicated", log_->replicated()),
-                obs::Arg("log_records", static_cast<int64_t>(log_->records().size()))});
+                obs::Arg("log_records", static_cast<int64_t>(log_->next_seq()))});
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->counter("cm.ctrl.crashes")->Inc();
@@ -589,8 +589,9 @@ Status ClusterManager::CrashControlLeader() {
 void ClusterManager::RecoverControlLeader() {
   DS_CHECK(!leader_up_);
   // Standby proof-of-completeness: a fresh directory built from nothing but
-  // the log must reconstruct the live state bit-for-bit. Then swap it in —
-  // the log's attachment points at &directory_, which assignment preserves.
+  // the log (its standby replica plus the retained tail) must reconstruct the
+  // live state bit-for-bit. Then swap it in — the log's attachment points at
+  // &directory_, which assignment preserves.
   ctrl::TeDirectory standby(directory_.domain());
   log_->ReplayInto(&standby);
   DS_CHECK(standby.Fingerprint() == directory_.Fingerprint())

@@ -844,10 +844,11 @@ Status JobExecutor::CrashLeader() {
 
 void JobExecutor::RecoverLeader() {
   DS_CHECK(down_) << "RecoverLeader on a live job executor leader";
-  // Standby takeover: rebuild the job table purely from the shared log and
-  // prove the replay converged before swapping it in.
+  // Standby takeover: rebuild the job table purely from the shared log (its
+  // standby replica plus the retained tail) and prove the replay converged
+  // before swapping it in.
   ctrl::JobTable standby(table_.domain());
-  log_->ReplayInto(&standby);
+  stats_.je_replayed_records += log_->ReplayInto(&standby);
   DS_CHECK(standby.Fingerprint() == table_.Fingerprint())
       << "control-log replay diverged from live job table — a mutation "
          "bypassed the log";

@@ -105,10 +105,11 @@ struct JeStats {
   int64_t cost_narrowed = 0;   // candidate sets actually narrowed by the filter
   int64_t cost_fallbacks = 0;  // no candidate fit the predicted context; kept all
   // Control-plane fault pipeline.
-  int64_t je_crashes = 0;       // leader crashes injected
-  int64_t je_failovers = 0;     // standby takeovers completed
-  int64_t deferred_ops = 0;     // completions/failures parked during outages
-  int64_t queued_arrivals = 0;  // arrivals buffered until takeover
+  int64_t je_crashes = 0;           // leader crashes injected
+  int64_t je_failovers = 0;         // standby takeovers completed
+  int64_t je_replayed_records = 0;  // retained log records those takeovers replayed
+  int64_t deferred_ops = 0;         // completions/failures parked during outages
+  int64_t queued_arrivals = 0;      // arrivals buffered until takeover
   DurationNs je_outage_total = 0;
 };
 
@@ -192,6 +193,7 @@ class JobExecutor {
   const ctrl::JobTable& table() const { return table_; }
 
   const JeStats& stats() const { return stats_; }
+  const ctrl::ControlLog* control_log() const { return log_; }
   const std::vector<JobRecord>& jobs() const { return table_.jobs(); }
   const std::vector<TaskRecord>& tasks() const { return table_.tasks(); }
   size_t colocated_count() const { return colocated_.size(); }

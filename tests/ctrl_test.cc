@@ -1,5 +1,6 @@
 // Replicated control-plane tests: the sequenced shared log, deterministic
-// state-machine replay, CM/JE leader failover, the pipeline-abort crash path,
+// state-machine replay, the folding log against a keep-everything reference,
+// CM/JE leader failover, a bounded-memory soak, the pipeline-abort crash path,
 // and the 3-seed golden parity pin proving the degenerate log config is
 // bit-identical to the pre-log tree.
 
@@ -8,8 +9,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/time_units.h"
 #include "ctrl/control_log.h"
 #include "ctrl/job_table.h"
@@ -52,17 +55,55 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
 TEST(ControlLogTest, SequencesAcrossDomainsInAppendOrder) {
   sim::Simulator sim;
   ctrl::ControlLog log(&sim);
-  const int32_t alpha = log.RegisterDomain("alpha");
-  const int32_t beta = log.RegisterDomain("beta");
-  EXPECT_NE(alpha, beta);
+  ctrl::JobTable alpha(log.RegisterDomain("alpha"));
+  ctrl::JobTable beta(log.RegisterDomain("beta"));
+  EXPECT_NE(alpha.domain(), beta.domain());
+  log.Attach(&alpha);
+  log.Attach(&beta);
 
-  EXPECT_EQ(log.Append({0, 0, alpha, 1, {}, {}}).seq, 0u);
-  EXPECT_EQ(log.Append({0, 0, beta, 1, {}, {}}).seq, 1u);
-  EXPECT_EQ(log.Append({0, 0, alpha, 2, {}, {}}).seq, 2u);
+  const int32_t rr = ctrl::JobTable::kRrAdvanced;
+  EXPECT_EQ(log.Append({0, 0, alpha.domain(), rr, {}, {}}).seq, 0u);
+  EXPECT_EQ(log.Append({0, 0, beta.domain(), rr, {}, {}}).seq, 1u);
+  EXPECT_EQ(log.Append({0, 0, alpha.domain(), rr, {}, {}}).seq, 2u);
+  // Appended counts cover the whole history...
   EXPECT_EQ(log.next_seq(), 3u);
-  EXPECT_EQ(log.CountDomain(alpha), 2);
-  EXPECT_EQ(log.CountDomain(beta), 1);
+  EXPECT_EQ(log.CountDomain(alpha.domain()), 2);
+  EXPECT_EQ(log.CountDomain(beta.domain()), 1);
+  // ...while the zero-latency log retains only the newest record; the rest
+  // live on in the standbys, in sequence order.
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(log.records().back().seq, 2u);
+  EXPECT_EQ(static_cast<const ctrl::JobTable*>(log.standby(alpha.domain()))->rr_cursor(), 1u);
+  EXPECT_EQ(static_cast<const ctrl::JobTable*>(log.standby(beta.domain()))->rr_cursor(), 1u);
+}
+
+TEST(ControlLogTest, UnattachedDomainPinsTheLogUntilAttached) {
+  sim::Simulator sim;
+  ctrl::ControlLog log(&sim);
+  ctrl::JobTable live(log.RegisterDomain("live"));
+  log.Attach(&live);
+  const int32_t late = log.RegisterDomain("late");
+  EXPECT_EQ(log.standby(late), nullptr);
+
+  const int32_t rr = ctrl::JobTable::kRrAdvanced;
+  log.Append({0, 0, live.domain(), rr, {}, {}});
+  log.Append({0, 0, late, rr, {}, {}});  // no standby to fold into
+  log.Append({0, 0, live.domain(), rr, {}, {}});
+  log.Append({0, 0, late, rr, {}, {}});
+  // The first "late" record pins itself and everything after it.
   EXPECT_EQ(log.records().size(), 3u);
+  EXPECT_EQ(log.records().front().seq, 1u);
+
+  ctrl::JobTable joiner(late);
+  EXPECT_EQ(log.ReplayInto(&joiner), 2);
+  EXPECT_EQ(joiner.rr_cursor(), 2u);
+  log.Attach(&joiner);
+  log.Append({0, 0, late, rr, {}, {}});
+  EXPECT_EQ(log.records().size(), 1u);
+  ctrl::JobTable replica(late);
+  EXPECT_EQ(log.ReplayInto(&replica), 1);
+  EXPECT_EQ(replica.Fingerprint(), joiner.Fingerprint());
+  EXPECT_EQ(replica.rr_cursor(), 3u);
 }
 
 TEST(ControlLogTest, AppendAppliesInlineToAttachedMachine) {
@@ -104,26 +145,36 @@ TEST(ControlLogTest, ReplayFromNothingMatchesLiveFingerprint) {
   EXPECT_EQ(standby.applied(), live.applied());
 }
 
-TEST(ControlLogTest, SnapshotPlusRangeReplayMatchesLive) {
+TEST(ControlLogTest, SnapshotPlusTailReplayMatchesLive) {
   sim::Simulator sim;
-  ctrl::ControlLog log(&sim);
+  ctrl::CtrlConfig config;
+  config.replicas = 3;
+  config.quorum = 2;
+  config.replication_latency = MsToNs(5);
+  ctrl::ControlLog log(&sim, config);
   ctrl::JobTable live(log.RegisterDomain("job-table"));
   log.Attach(&live);
 
   log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 1}, {}});
   log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kDecode, 2}, {}});
-
-  // The "snapshot" is a plain value copy taken at a known sequence point.
-  ctrl::JobTable snapshot = live;
-  const uint64_t snapshot_seq = log.next_seq() - 1;
-
+  sim.RunUntil(MsToNs(10));
   log.Append({0, 0, live.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
   log.Append({0, 0, live.domain(), ctrl::JobTable::kTeRemoved, {2}, {}});
 
-  EXPECT_NE(snapshot.Fingerprint(), live.Fingerprint());
-  log.ReplayRange(&snapshot, snapshot_seq);
-  EXPECT_EQ(snapshot.Fingerprint(), live.Fingerprint());
-  EXPECT_EQ(snapshot.applied(), live.applied());
+  // The two t=0 records left the replication window and were folded into
+  // the standby (the snapshot); the two at t=10ms are the retained tail.
+  ASSERT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.records().front().seq, 2u);
+  const auto* snapshot = static_cast<const ctrl::JobTable*>(log.standby(live.domain()));
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->applied(), 2u);
+  EXPECT_NE(snapshot->Fingerprint(), live.Fingerprint());
+
+  ctrl::JobTable replica(live.domain());
+  EXPECT_EQ(log.ReplayInto(&replica), 2);
+  EXPECT_EQ(replica.Fingerprint(), live.Fingerprint());
+  EXPECT_EQ(replica.applied(), live.applied());
+  EXPECT_EQ(log.CountDomain(live.domain()), 4);
 }
 
 TEST(ControlLogTest, FailoverDelayChargesLeaseGapAndTailReplay) {
@@ -163,6 +214,169 @@ TEST(ControlLogTest, DegenerateConfigIsNotReplicated) {
   ctrl::ControlLog degenerate(&sim);
   EXPECT_FALSE(degenerate.replicated());
   EXPECT_EQ(degenerate.UnreplicatedAt(SToNs(1)), 0);
+}
+
+// ---------------- Folding log vs a keep-everything reference ----------------
+
+// The pre-compaction log as a naive model: it keeps every record, folds each
+// domain from empty, and scans the whole history for the replication window.
+struct ReferenceLog {
+  ctrl::CtrlConfig config;
+  std::vector<ctrl::LogRecord> records;
+  std::map<int32_t, ctrl::JobTable> folds;
+
+  // Records stamped within replication_latency of `now`.
+  int64_t Window(TimeNs now) const {
+    int64_t n = 0;
+    for (const ctrl::LogRecord& record : records) {
+      if (record.time > now - config.replication_latency) ++n;
+    }
+    return n;
+  }
+  int64_t UnreplicatedAt(TimeNs now) const {
+    return config.replication_latency > 0 ? Window(now) : 0;
+  }
+  DurationNs FailoverDelay(TimeNs now) const {
+    return config.lease_duration + config.replication_latency +
+           UnreplicatedAt(now) * config.replay_cost_per_record;
+  }
+};
+
+// Picks a random record the reference fold of `domain` accepts: job
+// creation with a prompt, TE binds, task and job completion and failure,
+// group membership, round-robin ticks and epochs.
+ctrl::LogRecord RandomJobRecord(Rng& rng, const ctrl::JobTable& fold, int32_t domain,
+                                TimeNs now) {
+  std::vector<int64_t> open;
+  for (const auto& [job_id, outstanding] : fold.outstanding()) {
+    open.push_back(static_cast<int64_t>(job_id));
+  }
+  auto pick_open = [&] { return open[rng.UniformInt(0, static_cast<int64_t>(open.size()) - 1)]; };
+  ctrl::LogRecord record;
+  record.domain = domain;
+  const int64_t kind = rng.UniformInt(0, 10);
+  if (kind <= 2 || open.empty()) {
+    record.type = ctrl::JobTable::kJobCreated;
+    const auto job = static_cast<int64_t>(fold.next_job());
+    record.ints = {job, job * 10, rng.UniformInt(0, 2), now,
+                   rng.UniformInt(1, 512), rng.UniformInt(0, 3), now + SToNs(30)};
+    for (int64_t i = rng.UniformInt(0, 48); i > 0; --i) {
+      record.ints.push_back(rng.UniformInt(0, 127999));
+    }
+    record.str = rng.Bernoulli(0.5) ? "ctx-" + std::to_string(rng.UniformInt(0, 3)) : "";
+  } else if (kind == 3) {
+    record.type = ctrl::JobTable::kJobTeBound;
+    record.ints = {pick_open(), rng.UniformInt(1, 16)};
+  } else if (kind == 4) {
+    record.type = ctrl::JobTable::kTaskCreated;
+    record.ints = {static_cast<int64_t>(fold.next_task()), pick_open(), rng.UniformInt(0, 2),
+                   rng.UniformInt(1, 16)};
+  } else if (kind == 5 && !fold.tasks().empty()) {
+    record.type = ctrl::JobTable::kTaskCompleted;
+    const int64_t last = static_cast<int64_t>(fold.tasks().size()) - 1;
+    record.ints = {static_cast<int64_t>(fold.tasks()[rng.UniformInt(0, last)].id)};
+  } else if (kind == 6) {
+    record.type = ctrl::JobTable::kJobCompleted;
+    record.ints = {pick_open()};
+  } else if (kind == 7) {
+    record.type = ctrl::JobTable::kJobFailed;
+    record.ints = {pick_open()};
+  } else if (kind == 8) {
+    record.type = ctrl::JobTable::kTeAdded;
+    record.ints = {rng.UniformInt(0, 2), rng.UniformInt(1, 16)};
+  } else if (kind == 9) {
+    record.type = ctrl::JobTable::kTeRemoved;
+    record.ints = {rng.UniformInt(1, 16)};
+  } else {
+    record.type = rng.Bernoulli(0.8) ? ctrl::JobTable::kRrAdvanced : ctrl::JobTable::kEpoch;
+  }
+  return record;
+}
+
+// Randomized streams over two JobTable domains, with sim time advancing in
+// ties and gaps around the replication window: after every append the
+// folding log must be indistinguishable from the reference through its whole
+// API, while retaining no more than the window plus the newest record. The
+// "alpha" leader is periodically swapped for a replica rebuilt from the log
+// (failover); "beta" is periodically detached and later re-attached to a
+// rebuilt replica, so its standby keeps folding with no leader attached.
+TEST(ControlLogFoldTest, MatchesKeepEverythingReference) {
+  for (const DurationNs latency : {DurationNs{0}, MsToNs(5)}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("latency " + std::to_string(latency) + " seed " + std::to_string(seed));
+      sim::Simulator sim;
+      ctrl::CtrlConfig config;
+      config.replicas = 3;
+      config.quorum = 2;
+      config.replication_latency = latency;
+      config.lease_duration = MsToNs(50);
+      ctrl::ControlLog log(&sim, config);
+      ReferenceLog ref;
+      ref.config = config;
+
+      const int32_t domains[2] = {log.RegisterDomain("alpha"), log.RegisterDomain("beta")};
+      std::map<int32_t, std::unique_ptr<ctrl::JobTable>> live;
+      for (int32_t d : domains) {
+        live[d] = std::make_unique<ctrl::JobTable>(d);
+        log.Attach(live[d].get());
+        ref.folds.emplace(d, ctrl::JobTable(d));
+      }
+      bool beta_attached = true;
+      Rng rng(seed);
+      auto rebuild = [&](int32_t d) {
+        auto replica = std::make_unique<ctrl::JobTable>(d);
+        log.ReplayInto(replica.get());
+        return replica;
+      };
+
+      for (int step = 0; step < 1500; ++step) {
+        const int64_t gap = rng.UniformInt(0, 5);
+        if (gap >= 3) sim.RunUntil(sim.Now() + MsToNs(gap == 5 ? 9 : gap - 1));
+        const TimeNs now = sim.Now();
+        const int32_t d = domains[rng.UniformInt(0, 1)];
+        ctrl::LogRecord record = RandomJobRecord(rng, ref.folds.at(d), d, now);
+        const ctrl::LogRecord& stored = log.Append(record);
+        ASSERT_EQ(stored.seq, ref.records.size());
+        ASSERT_EQ(stored.time, now);
+        record.seq = stored.seq;
+        record.time = now;
+        ref.records.push_back(record);
+        ref.folds.at(d).Apply(record);
+
+        if (step % 97 == 96) {  // alpha failover: swap in a rebuilt replica
+          ASSERT_EQ(rebuild(domains[0])->Fingerprint(), live[domains[0]]->Fingerprint());
+          live[domains[0]] = rebuild(domains[0]);
+          log.Attach(live[domains[0]].get());
+        }
+        if (step % 131 == 130) {  // beta leader leaves or returns
+          if (beta_attached) {
+            log.Detach(domains[1]);
+          } else {
+            live[domains[1]] = rebuild(domains[1]);
+            log.Attach(live[domains[1]].get());
+          }
+          beta_attached = !beta_attached;
+        }
+
+        ASSERT_EQ(log.next_seq(), ref.records.size());
+        for (int32_t dom : domains) {
+          const ctrl::JobTable& want = ref.folds.at(dom);
+          std::unique_ptr<ctrl::JobTable> replica = rebuild(dom);
+          ASSERT_EQ(replica->Fingerprint(), want.Fingerprint()) << "step " << step;
+          ASSERT_EQ(replica->applied(), want.applied());
+          if (dom == domains[0] || beta_attached) {
+            ASSERT_EQ(live[dom]->Fingerprint(), want.Fingerprint()) << "step " << step;
+          }
+          ASSERT_EQ(log.CountDomain(dom), static_cast<int64_t>(want.applied()));
+        }
+        ASSERT_EQ(log.UnreplicatedAt(now), ref.UnreplicatedAt(now)) << "step " << step;
+        ASSERT_EQ(log.FailoverDelay(now), ref.FailoverDelay(now)) << "step " << step;
+        const int64_t retained = static_cast<int64_t>(log.records().size());
+        ASSERT_GE(retained, ref.Window(now)) << "step " << step;
+        ASSERT_LE(retained, ref.Window(now) + 1) << "step " << step;
+      }
+    }
+  }
 }
 
 // ---------------- State-machine replay through the real stack ----------------
@@ -495,6 +709,80 @@ TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
     EXPECT_EQ(count, 1) << "request " << id << " terminated " << count << " times";
   }
   EXPECT_TRUE(je.table().outstanding().empty());
+}
+
+// Bounded-memory soak: a JE on a 3-replica shared log under Poisson traffic
+// for `duration_s`, drained, then a JE leader crash at the end.
+struct JeSoakResult {
+  int64_t appended = 0;        // JE-domain records ever appended
+  int64_t retained = 0;        // records the log holds at the crash
+  size_t standby_outstanding = 0;
+  int64_t tail_at_crash = 0;   // UnreplicatedAt(crash)
+  int64_t replayed = 0;        // records the takeover replayed
+  int64_t completed = 0;
+  int64_t failovers = 0;
+};
+
+JeSoakResult RunJeSoak(double duration_s) {
+  sim::Simulator sim;
+  hw::ClusterConfig cluster_config;
+  cluster_config.num_machines = 3;
+  hw::Cluster cluster(&sim, cluster_config);
+  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
+  ctrl::CtrlConfig config;
+  config.replicas = 3;
+  config.quorum = 2;
+  config.replication_latency = MsToNs(5);
+  config.lease_duration = MsToNs(100);
+  ctrl::ControlLog log(&sim, config);
+  serving::ClusterManager manager(&sim, &cluster, &transfer, {}, {}, &log);
+  serving::JeConfig je_config;
+  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
+  serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
+                          serving::MakeOraclePredictor());
+  je.AttachControl(&log, &manager);
+  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+
+  auto trace_config = workload::TraceGenerator::InternalTrace(2.0, duration_s, /*seed=*/7);
+  trace_config.prefill = workload::LengthDistribution{256, 0.3, 32, 1024};
+  trace_config.decode = workload::LengthDistribution{32, 0.4, 4, 128};
+  JeSoakResult r;
+  for (const auto& spec : workload::TraceGenerator(trace_config).Generate()) {
+    sim.ScheduleAt(spec.arrival, [&, spec] {
+      je.HandleRequest(spec, {nullptr, [&](const flowserve::Sequence&) { ++r.completed; },
+                              nullptr});
+    });
+  }
+  sim.Run();
+
+  const int32_t domain = je.table().domain();
+  r.appended = log.CountDomain(domain);
+  r.retained = static_cast<int64_t>(log.records().size());
+  r.standby_outstanding =
+      static_cast<const ctrl::JobTable*>(log.standby(domain))->outstanding().size();
+  r.tail_at_crash = log.UnreplicatedAt(sim.Now());
+  EXPECT_TRUE(je.CrashLeader().ok());
+  sim.Run();  // takeover: RecoverLeader DS_CHECKs replay == live fingerprints
+  r.replayed = je.stats().je_replayed_records;
+  r.failovers = je.stats().je_failovers;
+  return r;
+}
+
+TEST(ControlLogSoakTest, JeLogMemoryIsFlatFromTToFourT) {
+  const JeSoakResult t1 = RunJeSoak(60.0);
+  const JeSoakResult t4 = RunJeSoak(240.0);
+  for (const JeSoakResult* r : {&t1, &t4}) {
+    EXPECT_GT(r->completed, 0);
+    EXPECT_EQ(r->failovers, 1);
+    EXPECT_GE(r->tail_at_crash, 1);
+    EXPECT_LE(r->retained, r->tail_at_crash + 1);
+    EXPECT_LE(r->replayed, r->tail_at_crash);
+  }
+  // History grows with the horizon; what the log and its standby hold does not.
+  EXPECT_GT(t4.appended, 3 * t1.appended);
+  EXPECT_EQ(t4.retained, t1.retained);
+  EXPECT_EQ(t4.standby_outstanding, t1.standby_outstanding);
 }
 
 TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {
