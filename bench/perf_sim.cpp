@@ -24,8 +24,10 @@
 // Per scenario the JSON records `events_per_sec` (events through the queue
 // per wall second) and `sim_seconds_per_wall_second` (virtual-time
 // compression); cancel_storm adds `legacy_events_per_sec` and
-// `speedup_vs_legacy`; replay_64te adds `timeline_hash` and
-// `replay_identical` (the scenario always runs twice). long_horizon records
+// `speedup_vs_legacy`; replay_64te adds `timeline_hash`, `replay_identical`
+// (the scenario always runs twice) and `links_walked_per_insert` (calendar
+// chain links walked by the replay's sorted inserts, per insert; long_horizon
+// records it too). long_horizon records
 // wall seconds and requests per wall second beside its deterministic work
 // counters per request — LRU leaves examined by the RTC caches and by the
 // JE prompt trees — at the full horizon and at half of it, their ratio
@@ -43,7 +45,9 @@
 //                (d) its LRU work per request at the full horizon is at most
 //                kMaxWorkGrowth x that at half the horizon and (e) the JE
 //                control log retains no more records at the full horizon
-//                than at half of it. Wall time is recorded, never gated.
+//                than at half of it and (f) the full-stack replay walks at
+//                most kMaxWalkPerInsert calendar links per insert. Wall time
+//                is recorded, never gated.
 
 #include <algorithm>
 #include <chrono>
@@ -344,13 +348,6 @@ flowserve::EngineConfig TinyEngine() {
   return config;
 }
 
-struct ReplayResult {
-  ScenarioResult perf;
-  uint64_t timeline_hash = 0;
-  size_t requests = 0;
-  size_t completed = 0;
-};
-
 uint64_t TimelineHash(const workload::MetricsCollector& metrics, TimeNs sim_end) {
   uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](uint64_t v) {
@@ -366,6 +363,46 @@ uint64_t TimelineHash(const workload::MetricsCollector& metrics, TimeNs sim_end)
   return hash;
 }
 
+// Bound on calendar chain links walked per insert in the full-stack replay.
+// A bucket width matched to the dequeue stream keeps about three events per
+// bucket, so a sorted insert walks about one link; a width sized to the sparse
+// pre-scheduled arrivals chains every engine's step event into one bucket.
+constexpr double kMaxWalkPerInsert = 1.0;
+
+struct ReplayResult {
+  ScenarioResult perf;
+  uint64_t timeline_hash = 0;
+  size_t requests = 0;
+  size_t completed = 0;
+  uint64_t inserts = 0;       // events inserted into the queue during the replay
+  uint64_t links_walked = 0;  // calendar chain links those inserts walked
+
+  double WalkPerInsert() const {
+    return inserts > 0 ? static_cast<double>(links_walked) / static_cast<double>(inserts) : 0.0;
+  }
+};
+
+// Replays `trace` on `bed`, filling everything but the scenario's own
+// counters.
+ReplayResult TimedReplay(bench::Testbed& bed, const std::vector<workload::RequestSpec>& trace) {
+  ReplayResult r;
+  r.requests = trace.size();
+  const sim::EventQueue& queue = bed.sim().queue();
+  uint64_t fired_before = bed.sim().TotalFired();
+  uint64_t inserts_before = queue.inserts();
+  uint64_t walked_before = queue.links_walked();
+  double w0 = WallSeconds();
+  workload::MetricsCollector metrics = bed.Replay(trace);
+  r.perf.wall_s = WallSeconds() - w0;
+  r.perf.events = bed.sim().TotalFired() - fired_before;
+  r.perf.sim_end = bed.sim().Now();
+  r.inserts = queue.inserts() - inserts_before;
+  r.links_walked = queue.links_walked() - walked_before;
+  r.completed = metrics.completed();
+  r.timeline_hash = TimelineHash(metrics, r.perf.sim_end);
+  return r;
+}
+
 ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
   workload::TraceConfig trace_config = workload::TraceGenerator::InternalTrace(rps, duration_s, seed);
   std::vector<workload::RequestSpec> trace = workload::TraceGenerator(trace_config).Generate();
@@ -373,17 +410,7 @@ ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
   bench::Testbed bed(/*num_machines=*/(tes + 7) / 8);
   bed.BuildFleet(TinyEngine(), /*colocated=*/tes, /*prefill=*/0, /*decode=*/0);
 
-  ReplayResult r;
-  r.requests = trace.size();
-  uint64_t fired_before = bed.sim().TotalFired();
-  double w0 = WallSeconds();
-  workload::MetricsCollector metrics = bed.Replay(trace);
-  r.perf.wall_s = WallSeconds() - w0;
-  r.perf.events = bed.sim().TotalFired() - fired_before;
-  r.perf.sim_end = bed.sim().Now();
-  r.completed = metrics.completed();
-  r.timeline_hash = TimelineHash(metrics, r.perf.sim_end);
-  return r;
+  return TimedReplay(bed, trace);
 }
 
 // ---------------------------------------------------------------------------
@@ -425,15 +452,7 @@ LongHorizonResult RunLongHorizon(double duration_s, uint64_t seed) {
   bed.BuildFleet(engine, /*colocated=*/kLongHorizonTes, /*prefill=*/0, /*decode=*/0);
 
   LongHorizonResult r;
-  r.replay.requests = trace.size();
-  uint64_t fired_before = bed.sim().TotalFired();
-  double w0 = WallSeconds();
-  workload::MetricsCollector metrics = bed.Replay(trace);
-  r.replay.perf.wall_s = WallSeconds() - w0;
-  r.replay.perf.events = bed.sim().TotalFired() - fired_before;
-  r.replay.perf.sim_end = bed.sim().Now();
-  r.replay.completed = metrics.completed();
-  r.replay.timeline_hash = TimelineHash(metrics, r.replay.perf.sim_end);
+  r.replay = TimedReplay(bed, trace);
   for (const auto& te : bed.manager().tes()) {
     flowserve::Engine& e = te->engine();
     for (int g = 0; g < e.config().parallelism.dp; ++g) {
@@ -495,10 +514,13 @@ int RunAll(const Options& opt) {
   ReplayResult replay2 = RunReplay(tes, replay_rps, replay_duration_s, opt.seed);
   bool replay_identical = replay.timeline_hash == replay2.timeline_hash &&
                           replay.perf.sim_end == replay2.perf.sim_end &&
-                          replay.perf.events == replay2.perf.events;
+                          replay.perf.events == replay2.perf.events &&
+                          replay.links_walked == replay2.links_walked;
   std::printf("replay_64te: %zu/%zu requests completed, timeline %016" PRIx64 " (%s)\n",
               replay.completed, replay.requests, replay.timeline_hash,
               replay_identical ? "bit-identical replay" : "REPLAY DIVERGED");
+  std::printf("replay_64te calendar links walked per insert: %.3f (bound %.2f)\n",
+              replay.WalkPerInsert(), kMaxWalkPerInsert);
 
   LongHorizonResult half = RunLongHorizon(kLongHorizonSeconds / 2, opt.seed);
   LongHorizonResult lh = RunLongHorizon(kLongHorizonSeconds, opt.seed);
@@ -509,7 +531,8 @@ int RunAll(const Options& opt) {
                       lh.rtc_lru_examined == lh2.rtc_lru_examined &&
                       lh.je_tree_examined == lh2.je_tree_examined &&
                       lh.je_log_appended == lh2.je_log_appended &&
-                      lh.je_log_retained == lh2.je_log_retained;
+                      lh.je_log_retained == lh2.je_log_retained &&
+                      lh.replay.links_walked == lh2.replay.links_walked;
   double lh_req_per_s =
       static_cast<double>(lh.replay.requests) / std::max(lh.replay.perf.wall_s, 1e-9);
   double work_growth = lh.WorkPerRequest() / std::max(half.WorkPerRequest(), 1e-9);
@@ -523,6 +546,8 @@ int RunAll(const Options& opt) {
               kLongHorizonSeconds, half.PerRequest(half.rtc_lru_examined),
               half.PerRequest(half.je_tree_examined), kLongHorizonSeconds / 2, work_growth,
               kMaxWorkGrowth);
+  std::printf("long_horizon calendar links walked per insert: %.3f\n",
+              lh.replay.WalkPerInsert());
   std::printf("long_horizon JE control log: %" PRId64 " records appended, %" PRId64
               " retained at %.0f sim-s (%" PRId64 " at %.0f sim-s)\n",
               lh.je_log_appended, lh.je_log_retained, kLongHorizonSeconds, half.je_log_retained,
@@ -556,11 +581,11 @@ int RunAll(const Options& opt) {
                "    \"replay_64te\": {\"tes\": %d, \"requests\": %zu, \"completed\": %zu, "
                "\"events_fired\": %" PRIu64
                ", \"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
-               "\"sim_seconds_per_wall_second\": %.3f, \"timeline_hash\": \"%016" PRIx64
-               "\", \"replay_identical\": %s},\n",
+               "\"sim_seconds_per_wall_second\": %.3f, \"links_walked_per_insert\": %.4f, "
+               "\"timeline_hash\": \"%016" PRIx64 "\", \"replay_identical\": %s},\n",
                tes, replay.requests, replay.completed, replay.perf.events, replay.perf.wall_s,
-               replay.perf.events_per_sec(), replay.perf.sim_per_wall(), replay.timeline_hash,
-               replay_identical ? "true" : "false");
+               replay.perf.events_per_sec(), replay.perf.sim_per_wall(), replay.WalkPerInsert(),
+               replay.timeline_hash, replay_identical ? "true" : "false");
   std::fprintf(f,
                "    \"long_horizon\": {\"tes\": %d, \"rps\": %.1f, \"sim_seconds\": %.0f, "
                "\"requests\": %zu, \"completed\": %zu, \"events_fired\": %" PRIu64
@@ -572,7 +597,7 @@ int RunAll(const Options& opt) {
                "\"work_growth\": %.4f, \"je_log_records_appended\": %" PRId64
                ", \"je_log_records_retained\": %" PRId64
                ", \"half_horizon_je_log_records_retained\": %" PRId64
-               ", \"timeline_hash\": \"%016" PRIx64
+               ", \"links_walked_per_insert\": %.4f, \"timeline_hash\": \"%016" PRIx64
                "\", \"replay_identical\": %s}\n",
                kLongHorizonTes, kLongHorizonRps, kLongHorizonSeconds, lh.replay.requests,
                lh.replay.completed,
@@ -580,7 +605,8 @@ int RunAll(const Options& opt) {
                lh.PerRequest(lh.rtc_lru_examined), lh.PerRequest(lh.je_tree_examined),
                half.PerRequest(half.rtc_lru_examined), half.PerRequest(half.je_tree_examined),
                work_growth, lh.je_log_appended, lh.je_log_retained, half.je_log_retained,
-               lh.replay.timeline_hash, lh_identical ? "true" : "false");
+               lh.replay.WalkPerInsert(), lh.replay.timeline_hash,
+               lh_identical ? "true" : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "perf_sim: wrote %s\n", opt.out.c_str());
@@ -594,6 +620,12 @@ int RunAll(const Options& opt) {
     }
     if (replay.completed == 0) {
       std::fprintf(stderr, "SMOKE FAIL: replay completed no requests\n");
+      return 1;
+    }
+    if (replay.WalkPerInsert() > kMaxWalkPerInsert) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: replay_64te walked %.3f calendar links per insert (bound %.2f)\n",
+                   replay.WalkPerInsert(), kMaxWalkPerInsert);
       return 1;
     }
     if (!lh_identical) {
@@ -625,9 +657,11 @@ int RunAll(const Options& opt) {
       return 1;
     }
     std::fprintf(stderr,
-                 "smoke OK: replays bit-identical, cancel_storm %.2fx vs legacy, long_horizon "
-                 "LRU work growth %.3fx, JE log retains %" PRId64 " of %" PRId64 " records\n",
-                 storm_speedup, work_growth, lh.je_log_retained, lh.je_log_appended);
+                 "smoke OK: replays bit-identical, cancel_storm %.2fx vs legacy, replay_64te "
+                 "%.3f links walked per insert, long_horizon LRU work growth %.3fx, JE log "
+                 "retains %" PRId64 " of %" PRId64 " records\n",
+                 storm_speedup, replay.WalkPerInsert(), work_growth, lh.je_log_retained,
+                 lh.je_log_appended);
   }
   return 0;
 }
@@ -642,7 +676,8 @@ int main(int argc, char** argv) {
   registry.Flag("smoke", &opt.smoke,
                 "fast run; exits non-zero unless replays are bit-identical, the "
                 "slab core beats the legacy heap on cancel_storm, long_horizon LRU "
-                "work per request stays flat and its JE control log stays bounded");
+                "work per request stays flat, its JE control log stays bounded and "
+                "the full-stack replay's calendar inserts stay O(1)");
   std::vector<char*> obs_args = registry.Parse(argc, argv);
   bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
   return RunAll(opt);

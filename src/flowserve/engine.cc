@@ -150,6 +150,13 @@ rtc::RtcMaster& Engine::rtc(int dp_group) {
   return *groups_[static_cast<size_t>(dp_group)]->rtc;
 }
 
+Sequence* Engine::FindLive(uint64_t serial) const {
+  auto it = std::lower_bound(
+      sequences_.begin(), sequences_.end(), serial,
+      [](const SequencePtr& seq, uint64_t key) { return seq->serial < key; });
+  return it != sequences_.end() && (*it)->serial == serial ? it->get() : nullptr;
+}
+
 int Engine::PickDpGroup() const {
   // Count every live sequence already assigned to each group (including ones
   // still in the tokenizer), so a burst of simultaneous submits spreads.
@@ -188,8 +195,8 @@ void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_toke
   DS_CHECK_LE((seq->prompt_len() + seq->decode_target) / config_.block_size + 1,
               kv_block_capacity_)
       << "request context cannot ever fit in this engine's KV capacity";
+  seq->serial = next_serial_++;
   sequences_.push_back(std::move(owned));
-  live_.insert(seq);
   ++stats_.submitted;
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), seq->dp_group, "seq.submit",
@@ -200,9 +207,9 @@ void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_toke
   }
   // The tokenizer module runs independently ahead of sched-enqueue (§4.1).
   DurationNs tokenize = tokenizer_.EncodeDuration(static_cast<size_t>(seq->prompt_len()));
-  sim_->ScheduleAfter(tokenize, [this, seq] {
-    if (Alive(seq)) {
-      SchedEnqueue(seq);
+  sim_->ScheduleAfter(tokenize, [this, serial = seq->serial] {
+    if (Sequence* live = FindLive(serial)) {
+      SchedEnqueue(live);
     }
   });
 }
@@ -243,9 +250,9 @@ void Engine::SchedEnqueue(Sequence* seq) {
         ++stats_.populates_started;
         seq->state = SeqState::kWaitingPopulate;
         seq->reused_tokens = match.matched_tokens;
-        group.rtc->OnPopulateReady(*ticket, [this, seq] {
-          if (Alive(seq)) {
-            FinishEnqueue(seq);
+        group.rtc->OnPopulateReady(*ticket, [this, serial = seq->serial] {
+          if (Sequence* live = FindLive(serial)) {
+            FinishEnqueue(live);
           }
         });
         return;
@@ -325,8 +332,8 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on
       static_cast<int64_t>(seq->blocks.size()) * static_cast<int64_t>(config_.block_size);
   seq->state = SeqState::kDecoding;
   ++stats_.submitted;
+  seq->serial = next_serial_++;
   sequences_.push_back(std::move(owned));
-  live_.insert(seq);
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), seq->dp_group, "seq.submit",
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
@@ -335,9 +342,9 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on
                 obs::Arg("priority", seq->priority), obs::Arg("prefilled", true)});
   }
   if (seq->decode_done()) {
-    sim_->ScheduleAfter(0, [this, seq, gi = group.index] {
-      if (Alive(seq)) {
-        FinishSequence(*groups_[static_cast<size_t>(gi)], seq, 0);
+    sim_->ScheduleAfter(0, [this, serial = seq->serial, gi = group.index] {
+      if (Sequence* live = FindLive(serial)) {
+        FinishSequence(*groups_[static_cast<size_t>(gi)], live, 0);
       }
     });
     return Status::Ok();

@@ -24,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -172,21 +171,12 @@ class Engine {
  private:
   struct PendingKick;
 
-  struct DpGroup {
-    int index = 0;
-    std::unique_ptr<rtc::RtcMaster> rtc;
-    std::deque<Sequence*> ready;
-    std::vector<Sequence*> prefilling;
-    std::vector<Sequence*> decoding;
-    bool loop_running = false;
-    int current_mb = 0;         // PP micro-batch rotation
-    int next_admit_mb = 0;      // round-robin micro-batch assignment
-    int64_t current_chunk = 0;  // adaptive chunk budget (0 = uninitialized)
-    TimeNs cpu_ready_at = 0;    // async scheduling pipeline state
-  };
-
-  // One step's composition, captured at schedule time and applied at
-  // completion time.
+  // One step's composition, built by BuildStep and applied by CompleteStep
+  // when the step's sim-time duration has elapsed. Owned by its DpGroup and
+  // refilled in place each step, so the vectors keep their capacity and a
+  // steady-state step allocates nothing. Scrub invariant: while the step is
+  // in flight, ReleaseSequence nulls a released sequence's entries, so every
+  // non-null entry is a live sequence of this group.
   struct StepPlan {
     model::StepShape shape;
     std::vector<std::pair<Sequence*, int64_t>> prefill_chunks;  // seq, tokens
@@ -194,6 +184,28 @@ class Engine {
     DurationNs npu_time = 0;
     DurationNs cpu_time = 0;
     DurationNs pipeline_drain = 0;  // (pp-1) * stage time, latency adder
+
+    void Clear() {
+      shape = model::StepShape{};
+      prefill_chunks.clear();
+      decode_seqs.clear();
+      npu_time = cpu_time = pipeline_drain = 0;
+    }
+  };
+
+  struct DpGroup {
+    int index = 0;
+    std::unique_ptr<rtc::RtcMaster> rtc;
+    std::deque<Sequence*> ready;
+    std::vector<Sequence*> prefilling;
+    std::vector<Sequence*> decoding;
+    bool loop_running = false;  // a step is in flight (at most one per group)
+    StepPlan plan;              // the in-flight step while loop_running
+    std::vector<Sequence*> decode_scratch;  // BuildStep's snapshot of `decoding`
+    int current_mb = 0;         // PP micro-batch rotation
+    int next_admit_mb = 0;      // round-robin micro-batch assignment
+    int64_t current_chunk = 0;  // adaptive chunk budget (0 = uninitialized)
+    TimeNs cpu_ready_at = 0;    // async scheduling pipeline state
   };
 
   // Submit/enqueue paths (engine.cc).
@@ -203,7 +215,7 @@ class Engine {
   void KickLoop(DpGroup& group);
   void RunStep(DpGroup& group);
   bool BuildStep(DpGroup& group, StepPlan* plan);
-  void CompleteStep(DpGroup& group, StepPlan plan);
+  void CompleteStep(DpGroup& group);
   // Shared iteration-cost arithmetic: BuildStep/RunStep and the policy's
   // ChunkCostFn all go through these, so a policy's predicted step duration is
   // exactly what RunStep will charge.
@@ -239,9 +251,12 @@ class Engine {
   void CountFirstToken(const Sequence& seq);
   DpGroup& GroupFor(const Sequence& seq) { return *groups_[static_cast<size_t>(seq.dp_group)]; }
   int PickDpGroup() const;
-  // Deferred callbacks (tokenizer, populate, KV-send, step completion) may
-  // outlive a cancelled sequence; they must re-validate through this.
-  bool Alive(const Sequence* seq) const { return live_.count(seq) > 0; }
+  // Deferred callbacks (tokenizer, populate, KV-send, zero-delay finish) may
+  // outlive a cancelled sequence, and the allocator hands its address to the
+  // next one; they capture the sequence's serial and re-resolve it here.
+  // Returns nullptr once the sequence is released. O(log n): sequences_ is
+  // in serial order.
+  Sequence* FindLive(uint64_t serial) const;
   void DetachFromGroup(DpGroup& group, Sequence* seq);
   // Lazily registers this engine's trace track (one Chrome "process", one
   // lane per DP group). Returns -1 when no tracer is attached, so call sites
@@ -259,8 +274,8 @@ class Engine {
 
   std::vector<std::unique_ptr<DpGroup>> groups_;
   std::vector<std::unique_ptr<rtc::RtcExecutor>> rtc_executors_;
-  std::vector<SequencePtr> sequences_;  // owns all live sequences
-  std::unordered_set<const Sequence*> live_;
+  std::vector<SequencePtr> sequences_;  // owns all live sequences, by serial
+  uint64_t next_serial_ = 1;
   KvSendFn kv_send_;
   double step_time_multiplier_ = 1.0;
   bool draining_ = false;

@@ -72,27 +72,28 @@ void Engine::FinishPrefill(DpGroup& group, Sequence* seq, DurationNs extra_laten
     }
     // Captures the group by stable index, not reference: kv_send_ may hold
     // the callback past this frame, and the event fires after it unwinds.
-    auto deliver = [this, gi = group.index, seq, req_id] {
+    auto deliver = [this, gi = group.index, serial = seq->serial, req_id] {
       if (obs::Tracer* t = sim_->tracer()) {
         t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(req_id), "kv_send");
       }
-      if (!Alive(seq)) {
+      Sequence* live = FindLive(serial);
+      if (live == nullptr) {
         return;
       }
-      seq->finish_time = sim_->Now();
-      seq->state = SeqState::kFinished;
-      if (MissedDeadline(*seq)) {
+      live->finish_time = sim_->Now();
+      live->state = SeqState::kFinished;
+      if (MissedDeadline(*live)) {
         ++stats_.deadline_misses;
         EnsureMetrics();
         if (m_deadline_misses_ != nullptr) {
           m_deadline_misses_->Inc();
         }
       }
-      if (seq->on_complete) {
-        seq->on_complete(*seq);
+      if (live->on_complete) {
+        live->on_complete(*live);
       }
       ++stats_.completed;
-      ReleaseSequence(*groups_[static_cast<size_t>(gi)], seq, /*preserve=*/true);
+      ReleaseSequence(*groups_[static_cast<size_t>(gi)], live, /*preserve=*/true);
     };
     if (kv_send_) {
       kv_send_(*seq, kv_bytes, deliver);
@@ -189,7 +190,16 @@ void Engine::ReleaseSequence(DpGroup& group, Sequence* seq, bool preserve) {
     group.rtc->Free(seq->pic_blocks);
     seq->pic_blocks.clear();
   }
-  live_.erase(seq);
+  // Scrub the in-flight plan: its completion must not touch this sequence,
+  // nor a later one that reuses the address.
+  StepPlan& plan = group.plan;
+  for (auto& [planned, chunk] : plan.prefill_chunks) {
+    if (planned == seq) {
+      planned = nullptr;
+    }
+  }
+  std::replace(plan.decode_seqs.begin(), plan.decode_seqs.end(), seq,
+               static_cast<Sequence*>(nullptr));
   auto owned = std::find_if(sequences_.begin(), sequences_.end(),
                             [seq](const SequencePtr& p) { return p.get() == seq; });
   DS_CHECK(owned != sequences_.end());

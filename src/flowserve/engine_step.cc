@@ -3,9 +3,11 @@
 // arithmetic. Policy decisions (admission order, chunk bounds, victim choice,
 // shed verdicts) are delegated to the sched::SchedPolicy.
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/small_fn.h"
 #include "common/time_units.h"
 #include "flowserve/engine.h"
 
@@ -84,13 +86,20 @@ void Engine::SweepSheds(DpGroup& group) {
   if (!policy_->WantsShedChecks()) {
     return;
   }
-  std::vector<Sequence*> candidates;
-  candidates.insert(candidates.end(), group.ready.begin(), group.ready.end());
-  candidates.insert(candidates.end(), group.prefilling.begin(), group.prefilling.end());
-  candidates.insert(candidates.end(), group.decoding.begin(), group.decoding.end());
+  // Snapshot by serial: a shed's on_error may cancel other candidates.
+  std::vector<uint64_t> candidates;
+  auto snapshot = [&candidates](const auto& queue) {
+    for (const Sequence* seq : queue) {
+      candidates.push_back(seq->serial);
+    }
+  };
+  snapshot(group.ready);
+  snapshot(group.prefilling);
+  snapshot(group.decoding);
   const TimeNs now = sim_->Now();
-  for (Sequence* seq : candidates) {
-    if (!Alive(seq)) {
+  for (uint64_t serial : candidates) {
+    Sequence* seq = FindLive(serial);
+    if (seq == nullptr) {
       continue;  // a previous shed's on_error may have cancelled it
     }
     if (seq->state != SeqState::kQueued && seq->state != SeqState::kPrefilling &&
@@ -237,8 +246,9 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
   group.current_mb = (mb + 1) % std::max(1, pp);
 
   // ---- decode side: every decoding sequence of this micro-batch -----------
-  std::vector<Sequence*> decode_snapshot = group.decoding;
-  for (Sequence* seq : decode_snapshot) {
+  // Iterate a snapshot: preemption below may erase from group.decoding.
+  group.decode_scratch.assign(group.decoding.begin(), group.decoding.end());
+  for (Sequence* seq : group.decode_scratch) {
     if (seq->state != SeqState::kDecoding) {
       continue;  // preempted earlier in this very build
     }
@@ -368,10 +378,10 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
 void Engine::RunStep(DpGroup& group) {
   // Under PP, an empty micro-batch slot is a pipeline bubble: skip forward to
   // the next micro-batch with work rather than stalling the whole engine.
-  StepPlan plan;
+  StepPlan& plan = group.plan;
   bool have_work = false;
   for (int attempt = 0; attempt < std::max(1, config_.parallelism.pp); ++attempt) {
-    plan = StepPlan{};
+    plan.Clear();
     if (BuildStep(group, &plan)) {
       have_work = true;
       break;
@@ -435,15 +445,21 @@ void Engine::RunStep(DpGroup& group) {
               obs::Arg("cpu_ms", NsToMs(plan.cpu_time))});
   }
   ++busy_groups_;
-  sim_->ScheduleAfter(iteration, [this, gi = group.index,
-                                  plan = std::move(plan)]() mutable {
+  // The plan stays in the group; the event carries only (this, group index),
+  // which keeps it inside SmallFn's inline buffer.
+  auto complete = [this, gi = group.index] {
     --busy_groups_;
-    CompleteStep(*groups_[static_cast<size_t>(gi)], std::move(plan));
-  });
+    CompleteStep(*groups_[static_cast<size_t>(gi)]);
+  };
+  static_assert(sizeof(complete) <= common::SmallFn::kInlineBytes &&
+                    std::is_nothrow_move_constructible_v<decltype(complete)>,
+                "the step-completion event must fit SmallFn inline");
+  sim_->ScheduleAfter(iteration, std::move(complete));
 }
 
 // ds-lint: allow(span-pairing, closes the "step" slice opened in RunStep at the step's sim-time start)
-void Engine::CompleteStep(DpGroup& group, StepPlan plan) {
+void Engine::CompleteStep(DpGroup& group) {
+  const StepPlan& plan = group.plan;
   if (obs::Tracer* t = sim_->tracer()) {
     t->End(sim_->Now(), TracePid(), group.index, "step");
   }
@@ -451,10 +467,16 @@ void Engine::CompleteStep(DpGroup& group, StepPlan plan) {
     m_prefill_tokens_->Inc(plan.shape.prefill_tokens);
     m_decode_tokens_->Inc(plan.shape.decode_seqs);
   }
-  for (auto& [seq, chunk] : plan.prefill_chunks) {
-    if (!Alive(seq) || seq->state != SeqState::kPrefilling) {
-      continue;  // cancelled, shed, or preempted while this step ran
+  // Null entries were released (cancelled, aborted, finished) while the step
+  // ran; see the scrub in ReleaseSequence. Every other entry is still in the
+  // state it was planned in: only BuildStep preempts or sheds, and it never
+  // runs while this group's step is in flight. Entries are read by value
+  // because finishing a sequence scrubs its own entry.
+  for (auto [seq, chunk] : plan.prefill_chunks) {
+    if (seq == nullptr) {
+      continue;
     }
+    DS_CHECK(seq->state == SeqState::kPrefilling);
     seq->prefilled += chunk;
     stats_.prefill_tokens_processed += chunk;
     if (seq->prefill_done()) {
@@ -462,9 +484,10 @@ void Engine::CompleteStep(DpGroup& group, StepPlan plan) {
     }
   }
   for (Sequence* seq : plan.decode_seqs) {
-    if (!Alive(seq) || seq->state != SeqState::kDecoding) {
-      continue;  // cancelled, shed, preempted, or finished while this step ran
+    if (seq == nullptr) {
+      continue;
     }
+    DS_CHECK(seq->state == SeqState::kDecoding);
     seq->generated += 1;
     stats_.decode_tokens_generated += 1;
     if (seq->decode_done()) {

@@ -26,6 +26,10 @@ enum class SeqState {
 std::string_view SeqStateToString(SeqState state);
 
 struct Sequence {
+  // Per-engine serial, unique for the engine's lifetime (1, 2, ...). Deferred
+  // engine callbacks validate liveness by serial: a freed Sequence's address
+  // is soon reused by the next one, so a raw pointer cannot tell them apart.
+  uint64_t serial = 0;
   workload::RequestId request_id = 0;
   std::vector<TokenId> prompt;
   int64_t decode_target = 0;

@@ -15,7 +15,9 @@ int64_t AttendedTokens(int64_t past_len, int64_t chunk_len) {
 
 CostModel::CostModel(ModelSpec model, hw::NpuSpec npu, ParallelismConfig parallelism,
                      CommModel comm)
-    : model_(std::move(model)), npu_(std::move(npu)), parallelism_(parallelism), comm_(comm) {
+    : model_(std::move(model)), npu_(std::move(npu)), parallelism_(parallelism), comm_(comm),
+      active_params_(static_cast<double>(model_.ActiveParamCount())),
+      dense_weight_bytes_(static_cast<double>(model_.WeightBytes())) {
   DS_CHECK_GE(parallelism_.tp, 1);
   DS_CHECK_GE(parallelism_.pp, 1);
   DS_CHECK_GE(parallelism_.dp, 1);
@@ -23,7 +25,7 @@ CostModel::CostModel(ModelSpec model, hw::NpuSpec npu, ParallelismConfig paralle
 
 double CostModel::WeightReadBytes(double new_tokens) const {
   if (!model_.is_moe()) {
-    return static_cast<double>(model_.WeightBytes());
+    return dense_weight_bytes_;
   }
   // MoE: attention weights always stream; the batch touches at most
   // tokens * top-k distinct experts per layer (capped at the expert count).
@@ -42,7 +44,7 @@ DurationNs CostModel::StepDuration(const StepShape& shape) const {
   if (ae_.enabled && model_.is_moe()) {
     return AeStepDuration(shape);
   }
-  const double params = static_cast<double>(model_.ActiveParamCount());
+  const double params = active_params_;
   const double new_tokens = static_cast<double>(shape.prefill_tokens + shape.decode_seqs);
 
   // --- Compute side ---------------------------------------------------------

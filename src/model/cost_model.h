@@ -125,6 +125,11 @@ class CostModel {
   hw::NpuSpec npu_;
   ParallelismConfig parallelism_;
   CommModel comm_;
+  // Per-model constants of StepDuration, computed once at construction
+  // (model_ never changes): active parameters, and the weight bytes a dense
+  // model streams every step.
+  double active_params_ = 0;
+  double dense_weight_bytes_ = 0;
   AeDisaggConfig ae_;
   DurationNs step_overhead_ = UsToNs(400);
 };

@@ -54,13 +54,28 @@ size_t EventQueue::BucketInsert(uint32_t idx) {
   // O(1). This covers the dominant patterns — equal-timestamp FIFO batches
   // (seq is monotone, so they always append) and ascending-time inserts.
   uint32_t tail = tails_[b];
+  uint32_t finger = last_insert_;
+  last_insert_ = idx;
   if (tail != kNilIdx && Earlier(Rec(tail), r)) {
     r.next = kNilIdx;
     Rec(tail).next = idx;
     tails_[b] = idx;
     return 0;
   }
+  // Finger: resume the walk after the previous ring insert when it is still
+  // chained in this bucket ahead of the record. An equal-time batch is
+  // re-inserted one pop at a time, so its records land back to back — in
+  // front of any sparse far event sharing the bucket, where the tail path
+  // cannot reach. (A chained record is exactly one that is neither free nor
+  // parked in the overflow; its bucket is BucketOf(time) under the current
+  // geometry.)
   uint32_t* link = &buckets_[b];
+  if (finger != kNilIdx && finger != idx) {
+    Record& f = Rec(finger);
+    if (f.state != SlotState::kFree && !f.in_overflow && BucketOf(f.time) == b && Earlier(f, r)) {
+      link = &f.next;
+    }
+  }
   size_t walked = 0;
   while (*link != kNilIdx && Earlier(Rec(*link), r)) {
     link = &Rec(*link).next;
@@ -101,13 +116,16 @@ EventQueue::Handle EventQueue::Insert(TimeNs t, common::SmallFn fn) {
   }
   r.in_overflow = false;
   size_t walked = BucketInsert(idx);
+  links_walked_ += walked;
   ++cal_count_;
   ++ring_live_;
   // Grow on occupancy; also rehash when one insert walked a degenerate chain
-  // (the width has drifted away from the live distribution — resampling it
-  // respreads the offending cluster and reclaims tombstones).
-  if ((cal_count_ > nbuckets_ * 2 || walked > kMaxChainWalk) && nbuckets_ < kMaxBuckets) {
-    Rehash(nbuckets_ * 2);
+  // (the width does not fit the live distribution, e.g. a dense cluster far
+  // from the window that the dequeue stream has not reached yet — resampling
+  // from the live population respreads it and reclaims tombstones).
+  bool degenerate = walked > kMaxChainWalk;
+  if ((cal_count_ > nbuckets_ * 2 || degenerate) && nbuckets_ < kMaxBuckets) {
+    Rehash(nbuckets_ * 2, /*sample_live=*/degenerate);
   }
   return h;
 }
@@ -184,7 +202,7 @@ void EventQueue::MigrateOverflow() {
   while (target < total && target < kMaxBuckets) {
     target <<= 1;
   }
-  Rehash(target, &moved);
+  Rehash(target, /*sample_live=*/false, &moved);
 }
 
 bool EventQueue::Live(Handle h) const {
@@ -274,8 +292,9 @@ bool EventQueue::PopIfDue(TimeNs limit, TimeNs* t, common::SmallFn* fn) {
       *fn = std::move(r.fn);
       FreeSlot(idx);
       if (nbuckets_ > kMinBuckets && cal_count_ < nbuckets_ / 4) {
-        Rehash(nbuckets_ / 2);
+        Rehash(nbuckets_ / 2, /*sample_live=*/false);
       }
+      NotePop(*t);
       return true;
     }
     if (limit < overflow_lb_ && (idx == kNilIdx || Rec(idx).time > limit)) {
@@ -288,7 +307,42 @@ bool EventQueue::PopIfDue(TimeNs limit, TimeNs* t, common::SmallFn* fn) {
   }
 }
 
-void EventQueue::Rehash(size_t new_nbuckets, std::vector<uint32_t>* extra) {
+void EventQueue::NotePop(TimeNs t) {
+  // Equal-time pops (FIFO batches) say nothing about spacing: skip them, so a
+  // batch-heavy stream does not collapse the width toward zero. A pop behind
+  // the previous one (an insert behind the clock) just restarts the gap.
+  if (t > last_pop_time_) {
+    pop_gaps_[pop_gap_count_++] = t - last_pop_time_;
+  }
+  last_pop_time_ = t;
+  if (pop_gap_count_ < kGapWindow) {
+    return;
+  }
+  pop_gap_count_ = 0;
+  // Brown's estimate: mean separation, recomputed without the separations
+  // over twice that mean, so one idle hole in the window does not set the
+  // width. At least the smallest gap survives the trim.
+  double mean = 0;
+  for (TimeNs gap : pop_gaps_) {
+    mean += static_cast<double>(gap);
+  }
+  mean /= static_cast<double>(kGapWindow);
+  double kept_sum = 0;
+  size_t kept = 0;
+  for (TimeNs gap : pop_gaps_) {
+    if (static_cast<double>(gap) <= 2 * mean) {
+      kept_sum += static_cast<double>(gap);
+      ++kept;
+    }
+  }
+  dequeue_width_ = static_cast<TimeNs>(std::clamp(3 * kept_sum / static_cast<double>(kept), 1.0,
+                                                   static_cast<double>(kMaxWidth)));
+  if (dequeue_width_ > width_ * kWidthHysteresis || dequeue_width_ * kWidthHysteresis < width_) {
+    Rehash(nbuckets_, /*sample_live=*/false);
+  }
+}
+
+void EventQueue::Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra) {
   // Drain every chain, dropping tombstones for good.
   std::vector<uint32_t> live;
   live.reserve(ring_live_);
@@ -314,7 +368,7 @@ void EventQueue::Rehash(size_t new_nbuckets, std::vector<uint32_t>* extra) {
   DS_CHECK_EQ(cal_count_, ring_live_);
   nbuckets_ = new_nbuckets;
   mask_ = nbuckets_ - 1;
-  width_ = SampleWidth(live);
+  width_ = sample_live || dequeue_width_ == 0 ? SampleWidth(live) : dequeue_width_;
   buckets_.assign(nbuckets_, kNilIdx);
   tails_.assign(nbuckets_, kNilIdx);
   // Distribute in ascending (time, seq): appending at per-bucket tails keeps

@@ -16,8 +16,25 @@
 //     lists, each bucket covering a `width`-ns slice of virtual time modulo
 //     the bucket count. Records chain through intrusive `next` links inside
 //     the slab. Near-uniform event populations insert and extract in O(1);
-//     the bucket count doubles/halves with occupancy and the width is
-//     re-sampled from live inter-event gaps on each resize.
+//     the bucket count doubles/halves with occupancy.
+//   * The width follows the *dequeue stream*, not the live population:
+//     Brown's rule, ~3x the mean gap between recently popped events, so a
+//     bucket holds about three of the events the simulation is actually
+//     consuming. A simulator's live population is bimodal — thousands of
+//     pre-scheduled arrivals seconds apart beside one step event per engine
+//     microseconds-to-milliseconds ahead — and a width sized to the sparse
+//     mode chains every near event into one bucket, each insert walking
+//     half of them. Every kGapWindow distinct-time pops the estimate is
+//     recomputed (equal-time pops carry no spacing and are skipped; gaps over
+//     twice the window mean, i.e. idle holes, are trimmed) and the ring is
+//     rehashed in place when the width is off by more than
+//     kWidthHysteresis x. Grow/shrink/migration rehashes take the same
+//     estimate; the live-gap median sample is the cold-start fallback and
+//     the fallback of the chain-walk trigger. Sparse far events then sit in
+//     later ring-years of their buckets, behind the near events; a sorted
+//     insert that cannot take the tail path resumes after the previous insert
+//     when it can, so an equal-time batch lands back to back in O(1) even
+//     in front of such a far event.
 //   * Far events — beyond one ring-year (width x nbuckets) of the dequeue
 //     window at insert time — bypass the ring into an unsorted overflow
 //     vector guarded by a lower time bound. Deadline guards and idle timers
@@ -88,6 +105,10 @@ class EventQueue {
   TimeNs bucket_width() const { return width_; }
   size_t slab_slots() const { return slot_count_; }
   size_t overflow_size() const { return overflow_live_; }
+  // Deterministic cost counters: inserts so far, and chain links walked by
+  // sorted ring inserts (0 for tail appends and overflow parks).
+  uint64_t inserts() const { return next_seq_ - 1; }
+  uint64_t links_walked() const { return links_walked_; }
 
  private:
   enum class SlotState : uint8_t { kFree = 0, kScheduled = 1, kCancelled = 2 };
@@ -114,6 +135,10 @@ class EventQueue {
   // Width clamp keeps bucket_top_ arithmetic far from int64 overflow even
   // when a full bucket ring is scanned.
   static constexpr TimeNs kMaxWidth = SToNs(60);
+  // Dequeue-stream width estimate: re-checked every kGapWindow distinct-time
+  // pops (amortized O(1)), applied when off by more than kWidthHysteresis x.
+  static constexpr size_t kGapWindow = 64;
+  static constexpr TimeNs kWidthHysteresis = 4;
 
   static uint32_t IndexOf(Handle h) { return static_cast<uint32_t>(h & 0xffffffffu); }
   static uint32_t GenOf(Handle h) { return static_cast<uint32_t>(h >> 32); }
@@ -135,7 +160,9 @@ class EventQueue {
 
   // Sorted insert into the record's bucket chain; O(1) append when the
   // record belongs at the tail (equal-time FIFO batches, ascending inserts).
-  // Returns the number of links walked so Insert can detect degeneration.
+  // Otherwise the walk starts after the previous ring insert (the finger)
+  // when that record precedes this one in the same chain. Returns the number
+  // of links walked so Insert can detect degeneration.
   size_t BucketInsert(uint32_t idx);
   // Frees tombstoned records at the head of bucket `b`'s chain.
   void PruneCancelledHead(size_t b);
@@ -159,8 +186,14 @@ class EventQueue {
   // Frees tombstoned overflow entries in place and recomputes the exact
   // lower bound; amortized O(1) per cancel by the > half-dead trigger.
   void CompactOverflow();
-  void Rehash(size_t new_nbuckets, std::vector<uint32_t>* extra = nullptr);
+  // Redistributes the ring over `new_nbuckets` buckets. The width is the
+  // dequeue-stream estimate once one exists; `sample_live` (or a cold start)
+  // re-samples it from the live population instead.
+  void Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra = nullptr);
   TimeNs SampleWidth(const std::vector<uint32_t>& sorted_live) const;
+  // Feeds one popped time to the dequeue-stream estimate; every kGapWindow
+  // gaps it refreshes dequeue_width_ and rehashes in place if needed.
+  void NotePop(TimeNs t);
 
   // ---- slab ----------------------------------------------------------------
   std::vector<std::unique_ptr<Record[]>> chunks_;
@@ -178,6 +211,14 @@ class EventQueue {
   size_t cal_count_ = 0;    // records chained into buckets (live + tombstoned)
   size_t ring_live_ = 0;    // live records in the ring tier
   uint64_t next_seq_ = 1;
+  uint64_t links_walked_ = 0;
+  uint32_t last_insert_ = kNilIdx;  // BucketInsert's finger
+
+  // ---- dequeue-stream width ------------------------------------------------
+  TimeNs pop_gaps_[kGapWindow] = {};  // nonzero gaps between popped times
+  size_t pop_gap_count_ = 0;
+  TimeNs last_pop_time_ = kTimeNever;
+  TimeNs dequeue_width_ = 0;  // 0 until the first window fills
 
   // ---- overflow tier -------------------------------------------------------
   std::vector<uint32_t> overflow_;  // unsorted slots, live and tombstoned

@@ -77,6 +77,8 @@ class Simulator {
   bool Empty() const { return queue_.empty(); }
   size_t PendingEvents() const { return queue_.live(); }
   uint64_t TotalFired() const { return fired_count_; }
+  // The event queue, for its cost counters (perf harnesses, tests).
+  const EventQueue& queue() const { return queue_; }
 
   // ---- observability attach points ----------------------------------------
   // The Simulator is the one object every subsystem already holds, so it is

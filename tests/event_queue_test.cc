@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -359,6 +360,107 @@ TEST(EventQueueTest, RandomOpsMatchReferenceModel) {
   Drain(q);
   EXPECT_TRUE(q.empty());
 }
+
+// The simulator's live population is bimodal: one self-rescheduling step
+// event per engine, milliseconds ahead, over thousands of pre-scheduled
+// arrivals spread across the whole horizon. A bucket width sized to the
+// sparse arrivals chains every step event into one bucket and each re-insert
+// walks half of them; a width sized to the dequeue stream keeps the walk
+// O(1). Each case replays that shape directly on the queue against an
+// ordered-map reference, under three stream patterns:
+//   kSpread      distinct periods and phases;
+//   kIdleHoles   every stream pauses for 400 ms after each 100 ms of activity,
+//                so the dequeue stream has long holes (only arrivals pop);
+//   kEqualTime   one shared period and phase: pops come in equal-time batches.
+enum class StreamPattern { kSpread, kIdleHoles, kEqualTime };
+
+struct BimodalCase {
+  int streams;
+  StreamPattern pattern;
+};
+
+class EventQueueBimodalTest : public ::testing::TestWithParam<BimodalCase> {};
+
+TEST_P(EventQueueBimodalTest, WalkPerInsertStaysBoundedAndOrderIsExact) {
+  const BimodalCase c = GetParam();
+  constexpr uint64_t kArrivals = 10000;
+  constexpr uint64_t kArrivalMarker = uint64_t{1} << 32;  // markers below are stream ids
+  constexpr int kPops = 100000;
+  constexpr TimeNs kActive = MsToNs(100);
+  constexpr TimeNs kCycle = MsToNs(500);
+
+  EventQueue q;
+  std::vector<uint64_t> fired;
+  std::map<std::pair<TimeNs, uint64_t>, uint64_t> model;  // (time, ord) -> marker
+  uint64_t ord = 0;
+  auto insert = [&](TimeNs t, uint64_t marker) {
+    InsertMarked(q, t, &fired, marker);
+    model[{t, ord++}] = marker;
+  };
+  uint64_t state = 2024;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (uint64_t i = 0; i < kArrivals; ++i) {
+    TimeNs t = MsToNs(1) + static_cast<TimeNs>(i) * MsToNs(125) +
+               static_cast<TimeNs>(next() % static_cast<uint64_t>(MsToNs(50)));
+    insert(t, kArrivalMarker + i);
+  }
+  const bool equal_time = c.pattern == StreamPattern::kEqualTime;
+  std::vector<DurationNs> period(static_cast<size_t>(c.streams));
+  for (size_t s = 0; s < period.size(); ++s) {
+    period[s] = equal_time ? MsToNs(14)
+                           : MsToNs(10) + static_cast<DurationNs>(
+                                              (s * 2654435761u) % static_cast<uint64_t>(MsToNs(8)));
+    TimeNs first = MsToNs(2) + (equal_time ? 0 : static_cast<TimeNs>(s * 7919) % period[s]);
+    insert(first, s);
+  }
+  // Folds a time that lands in an idle stretch onto the next active one,
+  // keeping the stream's phase.
+  auto skip_idle = [&](TimeNs t) {
+    TimeNs offset = t % kCycle;
+    return offset < kActive ? t : t - offset + kCycle + (offset - kActive);
+  };
+
+  const uint64_t setup_inserts = q.inserts();
+  const uint64_t setup_walked = q.links_walked();
+  TimeNs t = 0;
+  SmallFn fn;
+  for (int pop = 0; pop < kPops; ++pop) {
+    ASSERT_TRUE(q.PopIfDue(kTimeNever, &t, &fn));
+    fn();
+    fn.Reset();
+    auto head = model.begin();
+    ASSERT_EQ(t, head->first.first) << "pop " << pop;
+    ASSERT_EQ(fired.back(), head->second) << "popped a non-minimum event at pop " << pop;
+    model.erase(head);
+    const uint64_t marker = fired.back();
+    if (marker < kArrivalMarker) {
+      TimeNs again = t + period[marker];
+      insert(c.pattern == StreamPattern::kIdleHoles ? skip_idle(again) : again, marker);
+    }
+  }
+  ASSERT_EQ(q.live(), model.size());
+  const double walk = static_cast<double>(q.links_walked() - setup_walked) /
+                      static_cast<double>(q.inserts() - setup_inserts);
+  EXPECT_LE(walk, 2.0) << c.streams << " streams: chain links walked per insert";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, EventQueueBimodalTest,
+    ::testing::Values(BimodalCase{32, StreamPattern::kSpread},
+                      BimodalCase{1024, StreamPattern::kSpread},
+                      BimodalCase{32, StreamPattern::kIdleHoles},
+                      BimodalCase{1024, StreamPattern::kIdleHoles},
+                      BimodalCase{32, StreamPattern::kEqualTime},
+                      BimodalCase{1024, StreamPattern::kEqualTime}),
+    [](const ::testing::TestParamInfo<BimodalCase>& test) {
+      const char* pattern = test.param.pattern == StreamPattern::kSpread      ? "Spread"
+                            : test.param.pattern == StreamPattern::kIdleHoles ? "IdleHoles"
+                                                                              : "EqualTime";
+      return std::string(pattern) + std::to_string(test.param.streams);
+    });
 
 }  // namespace
 }  // namespace deepserve::sim

@@ -416,6 +416,51 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
   EXPECT_EQ(third.reused, 15 * 16);
 }
 
+// Address reuse: the allocator hands a cancelled sequence's address to the
+// next sequence, so deferred work keyed by raw pointer would act on the
+// wrong request. A's in-flight step must not credit B with A's token: B
+// decodes its own 63 tokens, one step each, after A's orphaned step.
+TEST_F(EngineTest, CancelledSequenceStepDoesNotCreditItsSuccessor) {
+  auto config = TestConfig();
+  config.role = EngineRole::kDecodeOnly;
+  Start(config);
+  ASSERT_TRUE(engine_->SubmitPrefilled(MakeRequest(1, 512, 64), nullptr).ok());
+  ASSERT_EQ(engine_->stats().steps, 1) << "A's first step is in flight";
+  ASSERT_TRUE(engine_->Cancel(1).ok());
+  bool completed = false;
+  ASSERT_TRUE(engine_
+                  ->SubmitPrefilled(MakeRequest(2, 512, 64),
+                                    [&](const Sequence&) { completed = true; })
+                  .ok());
+  sim_.Run();
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(engine_->stats().decode_tokens_generated, 63);
+  EXPECT_EQ(engine_->stats().steps, 64);
+  EXPECT_TRUE(engine_->idle());
+}
+
+// Same hazard on the tokenizer path: A's tokenizer event, cancelled with A,
+// must not enqueue B. B then takes exactly the steps it takes alone and
+// leaks no KV blocks.
+TEST_F(EngineTest, CancelledSequenceTokenizerEventDoesNotEnqueueItsSuccessor) {
+  auto config = TestConfig();
+  config.enable_prefix_caching = false;  // finished work holds no blocks
+  Start(config);
+  ASSERT_TRUE(Run(MakeRequest(2, 512, 8)).completed);
+  const int64_t steps_alone = engine_->stats().steps;
+  ASSERT_EQ(steps_alone, 8);
+
+  Start(config);
+  engine_->Submit(MakeRequest(1, 512, 8), nullptr, nullptr);
+  ASSERT_TRUE(engine_->Cancel(1).ok()) << "A is still in the tokenizer";
+  auto b = Run(MakeRequest(2, 512, 8));
+  EXPECT_TRUE(b.completed);
+  EXPECT_EQ(engine_->stats().steps, steps_alone);
+  EXPECT_EQ(engine_->stats().completed, 1);
+  EXPECT_EQ(engine_->rtc().npu_blocks_used(), 0);
+  EXPECT_TRUE(engine_->idle());
+}
+
 // Parameterized sweep: engines complete all work across batch-size and
 // prompt-length combinations without deadlock or leak.
 class EngineSweepTest : public ::testing::TestWithParam<std::tuple<int, int64_t, int64_t>> {};
