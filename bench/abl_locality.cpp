@@ -13,8 +13,9 @@ namespace deepserve {
 namespace {
 
 void RunPolicy(const char* name, serving::SchedulingPolicy policy, double rps) {
-  bench::Testbed testbed(/*num_machines=*/4, policy);
-  testbed.BuildFleet(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), 4, 0, 0);
+  fleet::Fleet testbed(bench::TestbedSpec(/*num_machines=*/4, policy), bench::ActiveObs());
+  testbed.AddTes(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), 4, 0, 0);
+  testbed.Link();
   auto config = workload::TraceGenerator::CodeGenTrace(rps, /*duration_s=*/120.0);
   // Enough distinct prefix families that replicating all of them on every TE
   // exceeds each engine's KV capacity — the regime where locality routing

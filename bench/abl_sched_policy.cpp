@@ -81,27 +81,16 @@ struct RunResult {
 
 RunResult RunPolicy(const Options& options, const std::string& policy,
                     const std::vector<workload::RequestSpec>& trace) {
-  bench::Testbed bed(/*num_machines=*/1, serving::SchedulingPolicy::kLoadOnly);
+  fleet::FleetSpec fleet_spec =
+      bench::TestbedSpec(/*num_machines=*/1, serving::SchedulingPolicy::kLoadOnly);
+  fleet_spec.frontend = true;
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
   flowserve::EngineConfig engine = bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated);
   engine.sched.policy = policy;
   engine.sched.tbt_budget_ms = options.tbt_ms;
-
-  // Built by hand (not BuildFleet) to keep a handle on the TE: the ablation
-  // reports engine-level shed/TBT counters.
-  auto te_result = bed.manager().CreateReadyTe(engine);
-  if (!te_result.ok()) {
-    std::fprintf(stderr, "TE construction failed: %s\n", te_result.status().ToString().c_str());
-    std::abort();
-  }
-  serving::TaskExecutor* te = *te_result;
-  bed.je().AddColocatedTe(te);
-  if (!bed.transfer().LinkCluster({te->id()}, nullptr).ok()) {
-    std::abort();
-  }
-  bed.sim().Run();  // settle link setup
-
-  serving::Frontend frontend(&bed.sim());
-  frontend.RegisterServingJe("yi-34b", &bed.je());
+  // The ablation reports engine-level shed/TBT counters off this TE.
+  serving::TaskExecutor* te = bed.AddTe(flowserve::EngineRole::kColocated, engine);
+  bed.Link();
 
   RunResult result;
   result.submitted = static_cast<int64_t>(trace.size());
@@ -110,61 +99,39 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
     hash ^= v;
     hash *= 1099511628211ull;
   };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-  for (const auto& spec : trace) {
-    bed.sim().ScheduleAt(spec.arrival, [&, first_tokens, terminations, spec] {
-      serving::ChatRequest request;
-      request.model = "yi-34b";
-      request.spec = spec;
-      request.deadline = spec.deadline;
-      serving::ResponseHandler handler;
-      handler.on_first_token = [first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-        (*first_tokens)[id] = seq.first_token_time;
-      };
-      handler.on_complete = [&result, &mix, first_tokens, terminations,
-                             spec](const flowserve::Sequence& seq) {
-        ++result.completed;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2);
-        mix(static_cast<uint64_t>(seq.finish_time));
-        if (spec.deadline == 0 || seq.finish_time <= spec.deadline) {
-          result.goodput_tokens += spec.decode_len;
-        }
-        auto it = first_tokens->find(spec.id);
-        TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
-        double ttft = NsToMs(first - spec.arrival);
-        result.ttft_ms.Add(ttft);
-        if (spec.priority == 0) {
-          result.ttft_interactive_ms.Add(ttft);
-        }
-        if (spec.decode_len > 1) {
-          result.tbt_ms.Add(NsToMs(seq.finish_time - first) /
-                            static_cast<double>(spec.decode_len - 1));
-        }
-      };
-      handler.on_error = [&result, &mix, terminations, id = spec.id](const Status&) {
-        ++result.errored;
-        if (++(*terminations)[id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(id * 2 + 1);
-      };
-      // A pre-dispatch rejection reports through the returned Status alone
-      // (the handler never fires): fold it into the error terminations.
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        ++result.errored;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2 + 1);
-      }
-    });
-  }
-  bed.sim().Run();
+  std::map<workload::RequestId, int> terminations;
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
+                          const flowserve::Sequence& seq) {
+    ++result.completed;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix(spec.id * 2);
+    mix(static_cast<uint64_t>(seq.finish_time));
+    if (spec.deadline == 0 || seq.finish_time <= spec.deadline) {
+      result.goodput_tokens += spec.decode_len;
+    }
+    double ttft = NsToMs(first - spec.arrival);
+    result.ttft_ms.Add(ttft);
+    if (spec.priority == 0) {
+      result.ttft_interactive_ms.Add(ttft);
+    }
+    if (spec.decode_len > 1) {
+      result.tbt_ms.Add(NsToMs(seq.finish_time - first) /
+                        static_cast<double>(spec.decode_len - 1));
+    }
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++result.errored;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix(spec.id * 2 + 1);
+  };
+  // A pre-dispatch rejection is folded into the error terminations.
+  hooks.on_reject = hooks.on_error;
+  bed.Replay(trace, hooks);
 
   const flowserve::EngineStats& stats = te->engine().stats();
   result.shed = stats.shed;

@@ -1,32 +1,26 @@
-// Shared scaffolding for the figure-reproduction benches: fleet construction
-// (colocated TEs and PD pairs on a simulated cluster), trace replay through a
-// Job Executor, and table formatting.
+// Shared scaffolding for the figure-reproduction benches: flag parsing, the
+// paper's engine presets, the obs session, the single-JE FleetSpec, and table
+// formatting.
 #ifndef DEEPSERVE_BENCH_COMMON_H_
 #define DEEPSERVE_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/time_units.h"
 #include "ctrl/control_log.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
+#include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
 #include "serving/route_policy.h"
-#include "serving/task_executor.h"
 #include "sim/simulator.h"
-#include "workload/metrics.h"
 #include "workload/tracegen.h"
 
 namespace deepserve::bench {
@@ -214,7 +208,7 @@ inline flowserve::EngineConfig Engine34BTp4Paper(flowserve::EngineRole role) {
 //   --trace-out=<path>     Chrome trace_event JSON (chrome://tracing, Perfetto)
 //   --trace-jsonl=<path>   one event per line, for scripted analysis
 //   --metrics-out=<path>   metrics-registry dump (counters/gauges/stats)
-// and attaches its tracer/registry to every Testbed simulator built while it
+// and hands its tracer/registry to every Fleet built with ActiveObs() while it
 // is alive (raw-sim benches call Attach() themselves). Outputs are written
 // when the session is destroyed. With no flags given, nothing attaches and
 // the run is bit-identical to an uninstrumented one.
@@ -256,12 +250,14 @@ class ObsSession {
   bool metrics_enabled() const { return !metrics_path_.empty(); }
 
   void Attach(sim::Simulator& sim) {
-    if (tracing()) {
-      sim.SetTracer(&tracer_);
+    fleet::ObsSinks obs = sinks();
+    sim.SetTracer(obs.tracer);
+    if (obs.metrics != nullptr) {
+      sim.SetMetrics(obs.metrics);
     }
-    if (metrics_enabled()) {
-      sim.SetMetrics(&metrics_);
-    }
+  }
+  fleet::ObsSinks sinks() {
+    return {tracing() ? &tracer_ : nullptr, metrics_enabled() ? &metrics_ : nullptr};
   }
 
   // Writes the requested outputs (idempotent; also runs at destruction).
@@ -313,149 +309,24 @@ class ObsSession {
   static inline ObsSession* active_ = nullptr;
 };
 
-// A self-contained serving testbed: simulator, cluster, DistFlow, manager,
-// TEs, and one JE.
-class Testbed {
- public:
-  // `ctrl`: when non-null, the CM's TeDirectory (and any JE that calls
-  // AttachControl(ctrl_log(), ...)) lives on a shared control log with this
-  // replication config; null keeps the CM's internal degenerate log.
-  explicit Testbed(int num_machines = 4,
-                   serving::SchedulingPolicy policy = serving::SchedulingPolicy::kCombined,
-                   serving::PdHeatmap heatmap = serving::PdHeatmap::Default(),
-                   std::unique_ptr<serving::DecodeLengthPredictor> predictor =
-                       serving::MakeOraclePredictor(),
-                   const ctrl::CtrlConfig* ctrl = nullptr) {
-    if (ObsSession* obs = ObsSession::active()) {
-      obs->Attach(sim_);
-    }
-    hw::ClusterConfig cluster_config;
-    cluster_config.num_machines = num_machines;
-    cluster_config.machines_per_scaleup_domain = std::max(4, num_machines);
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cluster_config);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    if (ctrl != nullptr) {
-      ctrl_log_ = std::make_unique<ctrl::ControlLog>(&sim_, *ctrl);
-    }
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(), transfer_.get(),
-                                                         serving::ScalingOptimizations{},
-                                                         serving::ScalingLatencyModel{},
-                                                         ctrl_log_.get());
-    serving::JeConfig je_config;
-    je_config.policy = policy;
-    je_ = std::make_unique<serving::JobExecutor>(&sim_, je_config, std::move(heatmap),
-                                                 std::move(predictor));
-  }
+// The spec every single-JE figure bench starts from: a homogeneous cluster of
+// `num_machines` machines in one HCCS scale-up domain (of at least 4) and one
+// JE running `policy`.
+inline fleet::FleetSpec TestbedSpec(
+    int num_machines = 4,
+    serving::SchedulingPolicy policy = serving::SchedulingPolicy::kCombined) {
+  fleet::FleetSpec spec;
+  spec.cluster.num_machines = num_machines;
+  spec.cluster.machines_per_scaleup_domain = std::max(4, num_machines);
+  spec.je.policy = policy;
+  return spec;
+}
 
-  // Custom-cluster testbed (heterogeneous fleets, SuperPod fabric): the
-  // caller supplies the full ClusterConfig and JeConfig instead of the
-  // homogeneous defaults above.
-  Testbed(const hw::ClusterConfig& cluster_config, const serving::JeConfig& je_config,
-          std::unique_ptr<serving::DecodeLengthPredictor> predictor =
-              serving::MakeOraclePredictor()) {
-    if (ObsSession* obs = ObsSession::active()) {
-      obs->Attach(sim_);
-    }
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cluster_config);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(), transfer_.get(),
-                                                         serving::ScalingOptimizations{},
-                                                         serving::ScalingLatencyModel{},
-                                                         nullptr);
-    je_ = std::make_unique<serving::JobExecutor>(&sim_, je_config, serving::PdHeatmap::Default(),
-                                                 std::move(predictor));
-  }
-
-  // Builds `colocated` unified TEs plus `prefill`/`decode` disaggregated TEs
-  // and links their DistFlow endpoints.
-  void BuildFleet(const flowserve::EngineConfig& base, int colocated, int prefill, int decode) {
-    std::vector<distflow::EndpointId> endpoints;
-    auto add = [&](flowserve::EngineRole role) {
-      auto config = base;
-      config.role = role;
-      auto te = manager_->CreateReadyTe(config);
-      if (!te.ok()) {
-        std::fprintf(stderr, "fleet construction failed: %s\n",
-                     te.status().ToString().c_str());
-        std::abort();
-      }
-      endpoints.push_back((*te)->id());
-      switch (role) {
-        case flowserve::EngineRole::kColocated:
-          je_->AddColocatedTe(*te);
-          break;
-        case flowserve::EngineRole::kPrefillOnly:
-          je_->AddPrefillTe(*te);
-          break;
-        case flowserve::EngineRole::kDecodeOnly:
-          je_->AddDecodeTe(*te);
-          break;
-      }
-    };
-    for (int i = 0; i < colocated; ++i) {
-      add(flowserve::EngineRole::kColocated);
-    }
-    for (int i = 0; i < prefill; ++i) {
-      add(flowserve::EngineRole::kPrefillOnly);
-    }
-    for (int i = 0; i < decode; ++i) {
-      add(flowserve::EngineRole::kDecodeOnly);
-    }
-    if (!transfer_->LinkCluster(endpoints, nullptr).ok()) {
-      std::abort();
-    }
-    sim_.Run();  // settle link setup
-  }
-
-  // Replays a trace through the JE and runs the simulation to completion.
-  // First-token times come from the prefill side (for disaggregated routes
-  // the completion callback fires on the decode TE, which never saw the
-  // first token).
-  workload::MetricsCollector Replay(const std::vector<workload::RequestSpec>& trace) {
-    workload::MetricsCollector metrics;
-    auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-    for (const auto& spec : trace) {
-      sim_.ScheduleAt(spec.arrival, [this, &metrics, first_tokens, spec] {
-        je_->HandleRequest(
-            spec, {[first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-              (*first_tokens)[id] = seq.first_token_time;
-            }, [&metrics, first_tokens, spec](const flowserve::Sequence& seq) {
-              workload::RequestRecord record;
-              record.id = spec.id;
-              record.arrival = spec.arrival;
-              auto it = first_tokens->find(spec.id);
-              record.first_token =
-                  it != first_tokens->end() ? it->second : seq.first_token_time;
-              record.completion = seq.finish_time;
-              record.prefill_len = spec.prefill_len();
-              record.decode_len = spec.decode_len;
-              metrics.Record(record);
-            }, nullptr});
-      });
-    }
-    sim_.Run();
-    return metrics;
-  }
-
-  sim::Simulator& sim() { return sim_; }
-  hw::Cluster& cluster() { return *cluster_; }
-  distflow::TransferEngine& transfer() { return *transfer_; }
-  serving::ClusterManager& manager() { return *manager_; }
-  serving::JobExecutor& je() { return *je_; }
-  // The shared control log, or null when the Testbed was built without one
-  // (the CM then runs on its internal degenerate log).
-  ctrl::ControlLog* ctrl_log() { return ctrl_log_.get(); }
-
- private:
-  sim::Simulator sim_;
-  std::unique_ptr<hw::Cluster> cluster_;
-  std::unique_ptr<distflow::TransferEngine> transfer_;
-  std::unique_ptr<ctrl::ControlLog> ctrl_log_;  // before manager_: CM detaches in ~
-  std::unique_ptr<serving::ClusterManager> manager_;
-  std::unique_ptr<serving::JobExecutor> je_;
-};
+// The active ObsSession's sinks for a Fleet (none without a session).
+inline fleet::ObsSinks ActiveObs() {
+  ObsSession* obs = ObsSession::active();
+  return obs != nullptr ? obs->sinks() : fleet::ObsSinks{};
+}
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n================================================================\n");

@@ -21,9 +21,11 @@ struct Setup {
 };
 
 void RunSetup(const Setup& setup, double rps) {
-  bench::Testbed testbed(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly);
-  testbed.BuildFleet(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), setup.colocated,
-                     setup.prefill, setup.decode);
+  fleet::Fleet testbed(bench::TestbedSpec(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly),
+                       bench::ActiveObs());
+  testbed.AddTes(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), setup.colocated,
+                 setup.prefill, setup.decode);
+  testbed.Link();
   auto trace_config = workload::TraceGenerator::InternalTrace(rps, /*duration_s=*/150.0);
   auto trace = workload::TraceGenerator(trace_config).Generate();
   auto metrics = testbed.Replay(trace);

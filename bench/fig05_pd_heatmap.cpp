@@ -30,9 +30,11 @@ const std::vector<double> kRatios = {0.05, 0.1, 0.25, 0.5, 1.0, 2.0};
 // Mean JCT of a batch of identical requests on the given fleet shape.
 double MeanJct(int colocated, int prefill_tes, int decode_tes, int64_t prefill_len,
                int64_t decode_len, double rps) {
-  bench::Testbed testbed(/*num_machines=*/2, serving::SchedulingPolicy::kLoadOnly);
-  testbed.BuildFleet(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), colocated,
-                     prefill_tes, decode_tes);
+  fleet::Fleet testbed(bench::TestbedSpec(/*num_machines=*/2, serving::SchedulingPolicy::kLoadOnly),
+                       bench::ActiveObs());
+  testbed.AddTes(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), colocated,
+                 prefill_tes, decode_tes);
+  testbed.Link();
   // Controlled study: size the batch so the aggregate KV of concurrent
   // requests fits a single instance (otherwise the cell measures preemption
   // thrash, not the prefill/decode tradeoff the heatmap is about).

@@ -24,13 +24,15 @@ struct PolicyCase {
 };
 
 void RunCase(const PolicyCase& c, double rps) {
-  std::unique_ptr<serving::DecodeLengthPredictor> predictor =
-      c.predictor_accuracy < 0 ? serving::MakeOraclePredictor()
-                               : serving::MakeNoisyPredictor(c.predictor_accuracy, 1234);
-  bench::Testbed testbed(/*num_machines=*/4, c.policy, serving::PdHeatmap::Default(),
-                         std::move(predictor));
+  fleet::FleetSpec fleet_spec = bench::TestbedSpec(/*num_machines=*/4, c.policy);
+  if (c.predictor_accuracy >= 0) {
+    fleet_spec.predictor_accuracy = c.predictor_accuracy;
+    fleet_spec.predictor_seed = 1234;
+  }
+  fleet::Fleet testbed(fleet_spec, bench::ActiveObs());
   // 2 colocated TEs + one 1P1D pair.
-  testbed.BuildFleet(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), 2, 1, 1);
+  testbed.AddTes(bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated), 2, 1, 1);
+  testbed.Link();
   auto trace_config = workload::TraceGenerator::CodeGenTrace(rps, /*duration_s=*/120.0);
   auto trace = workload::TraceGenerator(trace_config).Generate();
   auto metrics = testbed.Replay(trace);

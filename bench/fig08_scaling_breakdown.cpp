@@ -14,15 +14,12 @@ namespace {
 
 serving::ScalingBreakdown RunScale(serving::ScalingOptimizations opts, bool prewarm_pools,
                                    bool preload_model) {
-  sim::Simulator sim;
-  if (auto* session = bench::ObsSession::active()) {
-    session->Attach(sim);
-  }
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 4;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  serving::ClusterManager manager(&sim, &cluster, &transfer, opts);
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.cluster.num_machines = 4;
+  fleet_spec.scaling = opts;
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
+  sim::Simulator& sim = bed.sim();
+  serving::ClusterManager& manager = bed.manager();
   if (prewarm_pools) {
     manager.ReservePrewarmedPods(4);
     manager.ReservePrewarmedTes(4);

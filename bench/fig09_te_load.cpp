@@ -26,16 +26,12 @@ struct ModelCase {
 // Returns the TE-Load stage duration in seconds for the given loading mode:
 // "dram-hit", "dram-miss", "fork-hccs", "fork-roce".
 double Measure(const ModelCase& mc, const std::string& mode) {
-  sim::Simulator sim;
-  if (auto* session = bench::ObsSession::active()) {
-    session->Attach(sim);
-  }
-  hw::ClusterConfig config;
-  config.num_machines = 8;
-  config.machines_per_scaleup_domain = 4;
-  hw::Cluster cluster(&sim, config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  serving::ClusterManager manager(&sim, &cluster, &transfer, {});
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.cluster.num_machines = 8;
+  fleet_spec.cluster.machines_per_scaleup_domain = 4;
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
+  sim::Simulator& sim = bed.sim();
+  serving::ClusterManager& manager = bed.manager();
   manager.ReservePrewarmedPods(8);
   manager.ReservePrewarmedTes(8);
 

@@ -25,17 +25,13 @@ struct ForkResult {
 // Scales `count` TEs via NPU-fork while the source runs `busy_prefill` tokens
 // of prefill and/or `busy_decode_batch` decoding sequences of 1K tokens.
 ForkResult RunFork(int count, int64_t busy_prefill, int busy_decode_batch) {
-  sim::Simulator sim;
-  if (auto* session = bench::ObsSession::active()) {
-    session->Attach(sim);
-  }
-  hw::ClusterConfig config;
-  config.num_machines = 16;
-  config.npus_per_machine = 8;
-  config.machines_per_scaleup_domain = 16;  // all-HCCS domain
-  hw::Cluster cluster(&sim, config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  serving::ClusterManager manager(&sim, &cluster, &transfer, {});
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.cluster.num_machines = 16;
+  fleet_spec.cluster.npus_per_machine = 8;
+  fleet_spec.cluster.machines_per_scaleup_domain = 16;  // all-HCCS domain
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
+  sim::Simulator& sim = bed.sim();
+  serving::ClusterManager& manager = bed.manager();
   manager.ReservePrewarmedPods(128);
   manager.ReservePrewarmedTes(128);
 

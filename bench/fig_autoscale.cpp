@@ -86,7 +86,8 @@ struct RunResult {
 
 RunResult RunPolicy(const Options& options, const std::string& policy,
                     const std::vector<workload::RequestSpec>& trace) {
-  bench::Testbed bed(/*num_machines=*/3, serving::SchedulingPolicy::kLoadOnly);
+  fleet::Fleet bed(bench::TestbedSpec(/*num_machines=*/3, serving::SchedulingPolicy::kLoadOnly),
+                   bench::ActiveObs());
   // The paper's online-serving instance (34B TP4 on Gen1, saturating around
   // 1 RPS per TE) so the burst genuinely outruns one TE's capacity.
   flowserve::EngineConfig engine = bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated);
@@ -97,9 +98,10 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   for (int m = 0; m < bed.cluster().num_machines(); ++m) {
     bed.manager().PreloadModelToDram(m, engine.model);
   }
-  bed.BuildFleet(engine, /*colocated=*/1, /*prefill=*/0, /*decode=*/0);
-  // Drain timeouts force-kill through the crash path; re-dispatch the victims.
-  bed.manager().AddFailureHandler([&bed](serving::TeId id) { bed.je().OnTeFailure(id); });
+  // Drain timeouts force-kill through the crash path; the fleet's failure
+  // wiring re-dispatches the victims.
+  bed.AddTe(flowserve::EngineRole::kColocated, engine);
+  bed.Link();
 
   serving::AutoscalerConfig config;
   config.policy = policy;
@@ -126,43 +128,35 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
     hash ^= v;
     hash *= 1099511628211ull;
   };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
+  std::map<workload::RequestId, int> terminations;
   const TimeNs slo = MsToNs(options.ttft_slo_ms);
-  for (const auto& spec : trace) {
-    workload::RequestSpec shifted = spec;
-    shifted.arrival += t0;
-    bed.sim().ScheduleAt(shifted.arrival, [&, first_tokens, terminations, shifted] {
-      bed.je().HandleRequest(
-          shifted,
-          {[first_tokens, id = shifted.id](const flowserve::Sequence& seq) {
-             (*first_tokens)[id] = seq.first_token_time;
-           },
-           [&result, &mix, first_tokens, terminations, shifted,
-            slo](const flowserve::Sequence& seq) {
-             ++result.completed;
-             if (++(*terminations)[shifted.id] > 1) {
-               ++result.double_terminated;
-             }
-             mix(shifted.id * 2);
-             mix(static_cast<uint64_t>(seq.finish_time));
-             auto it = first_tokens->find(shifted.id);
-             TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
-             TimeNs ttft = first - shifted.arrival;
-             result.ttft_ms.Add(NsToMs(ttft));
-             if (ttft > slo) {
-               ++result.ttft_slo_violations;
-             }
-           },
-           [&result, &mix, terminations, id = shifted.id](const Status&) {
-             ++result.errored;
-             if (++(*terminations)[id] > 1) {
-               ++result.double_terminated;
-             }
-             mix(id * 2 + 1);
-           }});
-    });
+  std::vector<workload::RequestSpec> shifted = trace;
+  for (auto& spec : shifted) {
+    spec.arrival += t0;
   }
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
+                          const flowserve::Sequence& seq) {
+    ++result.completed;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix(spec.id * 2);
+    mix(static_cast<uint64_t>(seq.finish_time));
+    TimeNs ttft = first - spec.arrival;
+    result.ttft_ms.Add(NsToMs(ttft));
+    if (ttft > slo) {
+      ++result.ttft_slo_violations;
+    }
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++result.errored;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix(spec.id * 2 + 1);
+  };
+  bed.Submit(shifted, hooks);
   // Capacity-cost sampling: ready + draining TEs, every 500 ms over the
   // trace window (a draining TE still holds its NPUs).
   const DurationNs sample = MsToNs(500);

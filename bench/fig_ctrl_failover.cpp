@@ -71,24 +71,18 @@ struct RunResult {
 };
 
 RunResult RunOnce(const Options& options, int replicas) {
-  ctrl::CtrlConfig ctrl_config;
-  {
-    bench::CtrlOptions ablated = options.ctrl;
-    ablated.replicas = replicas;
-    ctrl_config = ablated.ToConfig();
-  }
-  bench::Testbed bed(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly,
-                     serving::PdHeatmap::Default(), serving::MakeOraclePredictor(),
-                     &ctrl_config);
+  fleet::FleetSpec fleet_spec =
+      bench::TestbedSpec(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly);
+  bench::CtrlOptions ablated = options.ctrl;
+  ablated.replicas = replicas;
+  fleet_spec.ctrl = ablated.ToConfig();
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
   serving::JobExecutor& je = bed.je();
   serving::ClusterManager& manager = bed.manager();
-  // Both leaders' state machines on the shared log; must precede fleet
-  // construction (AttachControl requires a pristine job table) and also
-  // registers the JE's TE-failure handler with the CM.
-  je.AttachControl(bed.ctrl_log(), &manager);
 
   flowserve::EngineConfig engine = bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated);
-  bed.BuildFleet(engine, /*colocated=*/3, /*prefill=*/0, /*decode=*/0);
+  bed.AddTes(engine, /*colocated=*/3, /*prefill=*/0, /*decode=*/0);
+  bed.Link();
 
   serving::FaultDetectionConfig detection;
   detection.missed_heartbeats = 3;
@@ -136,25 +130,23 @@ RunResult RunOnce(const Options& options, int replicas) {
   };
   for (auto& spec : trace) {
     spec.arrival += t0;
-    bed.sim().ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(spec, {nullptr,
-                              [&, id = spec.id, decode = spec.decode_len](
-                                  const flowserve::Sequence& seq) {
-                                ++result.completed;
-                                result.goodput_tokens += decode;
-                                if (++terminations[id] > 1) ++result.double_terminated;
-                                mix(id);
-                                mix(static_cast<uint64_t>(seq.first_token_time));
-                                mix(static_cast<uint64_t>(seq.finish_time));
-                              },
-                              [&, id = spec.id](const Status&) {
-                                ++result.errored;
-                                if (++terminations[id] > 1) ++result.double_terminated;
-                                mix(id * 2 + 1);
-                              }});
-    });
   }
-  bed.sim().Run();
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
+                          const flowserve::Sequence& seq) {
+    ++result.completed;
+    result.goodput_tokens += spec.decode_len;
+    if (++terminations[spec.id] > 1) ++result.double_terminated;
+    mix(spec.id);
+    mix(static_cast<uint64_t>(seq.first_token_time));
+    mix(static_cast<uint64_t>(seq.finish_time));
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++result.errored;
+    if (++terminations[spec.id] > 1) ++result.double_terminated;
+    mix(spec.id * 2 + 1);
+  };
+  bed.Replay(trace, hooks);
 
   result.timeline_hash = hash;
   result.makespan_s = NsToS(bed.sim().Now() - t0);

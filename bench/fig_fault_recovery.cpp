@@ -72,13 +72,16 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Fault recovery: goodput under chaos (detection -> "
                      "re-dispatch -> re-scale)");
 
-  bench::Testbed bed(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly);
+  fleet::FleetSpec fleet_spec =
+      bench::TestbedSpec(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly);
+  fleet_spec.frontend = true;
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
   flowserve::EngineConfig engine = bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated);
-  bed.BuildFleet(engine, /*colocated=*/4, /*prefill=*/0, /*decode=*/0);
+  bed.AddTes(engine, /*colocated=*/4, /*prefill=*/0, /*decode=*/0);
+  bed.Link();
 
   serving::JobExecutor& je = bed.je();
   serving::ClusterManager& manager = bed.manager();
-  manager.AddFailureHandler([&je](serving::TeId id) { je.OnTeFailure(id); });
   serving::FaultDetectionConfig detection;
   detection.missed_heartbeats = 3;
   detection.heartbeat_interval = MsToNs(options.detect_ms / 3.0);
@@ -97,9 +100,6 @@ int main(int argc, char** argv) {
     bed.cluster().machine(m)->page_cache().Insert(engine.model.name,
                                                   engine.model.WeightBytes(), bed.sim().Now());
   }
-
-  serving::Frontend frontend(&bed.sim());
-  frontend.RegisterServingJe("yi-34b", &je);
 
   faults::FaultInjector injector(&bed.sim(), &manager, options.fault_seed);
   std::vector<faults::FaultEvent> plan;
@@ -131,42 +131,32 @@ int main(int argc, char** argv) {
   int64_t double_terminated = 0;
   int64_t goodput_tokens = 0;
   std::map<workload::RequestId, int> terminations;
-  for (const auto& spec : trace) {
-    bed.sim().ScheduleAt(spec.arrival, [&, spec] {
-      serving::ChatRequest request;
-      request.model = "yi-34b";
-      request.spec = spec;
-      serving::ResponseHandler handler;
-      handler.on_complete = [&, id = spec.id,
-                             decode = spec.decode_len](const flowserve::Sequence&) {
-        ++completed;
-        goodput_tokens += decode;
-        if (++terminations[id] > 1) {
-          ++double_terminated;
-        }
-      };
-      handler.on_error = [&, id = spec.id](const Status&) {
-        ++errored;
-        if (++terminations[id] > 1) {
-          ++double_terminated;
-        }
-      };
-      // A pre-dispatch rejection reports through the returned Status alone
-      // (the handler never fires), so it is this request's one termination.
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        ++rejected;
-        if (++terminations[spec.id] > 1) {
-          ++double_terminated;
-        }
-      }
-    });
-  }
-  bed.sim().Run();
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs, const flowserve::Sequence&) {
+    ++completed;
+    goodput_tokens += spec.decode_len;
+    if (++terminations[spec.id] > 1) {
+      ++double_terminated;
+    }
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++errored;
+    if (++terminations[spec.id] > 1) {
+      ++double_terminated;
+    }
+  };
+  // A pre-dispatch rejection is this request's one termination.
+  hooks.on_reject = [&](const workload::RequestSpec& spec, const Status&) {
+    ++rejected;
+    if (++terminations[spec.id] > 1) {
+      ++double_terminated;
+    }
+  };
+  bed.Replay(trace, hooks);
 
   double makespan_s = NsToS(bed.sim().Now());
   const serving::ClusterManagerStats& cm = manager.stats();
-  const serving::FrontendStats& fe = frontend.stats();
+  const serving::FrontendStats& fe = bed.frontend()->stats();
   std::printf("workload: %zu requests at %.1f RPS over %.0fs  (fault seed %" PRIu64 "%s)\n",
               trace.size(), options.rps, options.duration_s, options.fault_seed,
               options.no_faults ? ", faults DISABLED" : "");

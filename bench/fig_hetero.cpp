@@ -96,17 +96,12 @@ RunResult Run(const Options& options, bool aware,
     std::fprintf(stderr, "%s\n", mix.status().ToString().c_str());
     std::exit(2);
   }
-  hw::ClusterConfig cluster_config;
-  cluster_config.machine_specs = *mix;
-  cluster_config.num_machines = static_cast<int>(mix->size());
-  cluster_config.machines_per_scaleup_domain =
-      std::max(cluster_config.machines_per_scaleup_domain, cluster_config.num_machines);
-  cluster_config.npu_spec = mix->front();
-
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  je_config.cost_aware = aware;
-  bench::Testbed bed(cluster_config, je_config);
+  fleet::FleetSpec fleet_spec = bench::TestbedSpec(static_cast<int>(mix->size()),
+                                                   serving::SchedulingPolicy::kLoadOnly);
+  fleet_spec.cluster.machine_specs = *mix;
+  fleet_spec.cluster.npu_spec = mix->front();
+  fleet_spec.je.cost_aware = aware;
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
   if (!aware) {
     serving::PlacementConfig placement;
     placement.hetero_aware = false;
@@ -117,7 +112,8 @@ RunResult Run(const Options& options, bool aware,
   engine.parallelism = {options.tp, 1, 1};
   engine.npu_spec = mix->front();
   engine.npu_spec_from_placement = true;  // TE cost models track their silicon
-  bed.BuildFleet(engine, options.tes, /*prefill=*/0, /*decode=*/0);
+  bed.AddTes(engine, options.tes, /*prefill=*/0, /*decode=*/0);
+  bed.Link();
 
   RunResult result;
   for (const auto& te : bed.manager().tes()) {
@@ -136,40 +132,31 @@ RunResult Run(const Options& options, bool aware,
     hash ^= v;
     hash *= 1099511628211ull;
   };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-  for (const auto& spec : trace) {
-    workload::RequestSpec shifted = spec;
-    shifted.arrival += t0;
-    bed.sim().ScheduleAt(shifted.arrival, [&, first_tokens, terminations, shifted] {
-      bed.je().HandleRequest(
-          shifted,
-          {[first_tokens, id = shifted.id](const flowserve::Sequence& seq) {
-             (*first_tokens)[id] = seq.first_token_time;
-           },
-           [&result, &mix_hash, first_tokens, terminations,
-            shifted](const flowserve::Sequence& seq) {
-             ++result.completed;
-             if (++(*terminations)[shifted.id] > 1) {
-               ++result.double_terminated;
-             }
-             result.tokens += static_cast<double>(shifted.decode_len);
-             mix_hash(shifted.id * 2);
-             mix_hash(static_cast<uint64_t>(seq.finish_time));
-             auto it = first_tokens->find(shifted.id);
-             TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
-             result.ttft_ms.Add(NsToMs(first - shifted.arrival));
-           },
-           [&result, &mix_hash, terminations, id = shifted.id](const Status&) {
-             ++result.errored;
-             if (++(*terminations)[id] > 1) {
-               ++result.double_terminated;
-             }
-             mix_hash(id * 2 + 1);
-           }});
-    });
+  std::map<workload::RequestId, int> terminations;
+  std::vector<workload::RequestSpec> shifted = trace;
+  for (auto& spec : shifted) {
+    spec.arrival += t0;
   }
-  bed.sim().Run();
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
+                          const flowserve::Sequence& seq) {
+    ++result.completed;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    result.tokens += static_cast<double>(spec.decode_len);
+    mix_hash(spec.id * 2);
+    mix_hash(static_cast<uint64_t>(seq.finish_time));
+    result.ttft_ms.Add(NsToMs(first - spec.arrival));
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++result.errored;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix_hash(spec.id * 2 + 1);
+  };
+  bed.Replay(shifted, hooks);
   result.end_time = bed.sim().Now();
   mix_hash(static_cast<uint64_t>(result.end_time));
   result.timeline_hash = hash;

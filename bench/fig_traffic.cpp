@@ -88,68 +88,36 @@ struct RunResult {
 
 RunResult RunVariant(const Options& options, const Variant& variant,
                      const std::vector<workload::RequestSpec>& trace) {
-  sim::Simulator sim;
-  hw::ClusterConfig cc;
-  cc.num_machines = 4;
-  hw::Cluster cluster(&sim, cc);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
-  if (bench::ObsSession* obs = bench::ObsSession::active()) {
-    obs->Attach(sim);
+  fleet::FleetSpec fleet_spec =
+      bench::TestbedSpec(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly);
+  fleet_spec.num_jes = 4;
+  fleet_spec.frontend = true;
+  fleet_spec.route.policy = variant.policy;
+  fleet_spec.route.seed = options.seed;
+  if (variant.eject) {
+    fleet_spec.route.eject_consecutive_errors = options.route.outlier_errors;
+    fleet_spec.route.eject_base = SToNs(options.route.outlier_base_s);
+    fleet_spec.route.eject_max = SToNs(options.route.outlier_max_s);
   }
-
+  if (variant.hedge) {
+    fleet_spec.route.hedge_floor = MsToNs(options.route.hedge_ms);
+  }
+  if (options.route.retry_budget > 0) {
+    fleet_spec.route.retry_budget = true;
+    fleet_spec.route.retry_floor = options.route.retry_budget;
+  }
+  fleet::Fleet bed(fleet_spec, bench::ActiveObs());
   flowserve::EngineConfig engine = bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated);
   // Deadline-aware engines: the slow TE sheds requests it can no longer meet,
   // which is the error signal the outlier monitor consumes.
   engine.sched.policy = "slo";
-
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  std::vector<std::unique_ptr<serving::JobExecutor>> jes;
-  std::vector<distflow::EndpointId> endpoints;
-  for (int i = 0; i < 4; ++i) {
-    jes.push_back(std::make_unique<serving::JobExecutor>(
-        &sim, je_config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor()));
-    auto te = manager.CreateReadyTe(engine);
-    if (!te.ok()) {
-      std::fprintf(stderr, "TE construction failed: %s\n", te.status().ToString().c_str());
-      std::abort();
-    }
-    jes.back()->AddColocatedTe(*te);
-    endpoints.push_back((*te)->id());
+  for (size_t i = 0; i < bed.num_jes(); ++i) {
+    bed.AddTe(flowserve::EngineRole::kColocated, engine, i);
   }
-  if (!transfer.LinkCluster(endpoints, nullptr).ok()) {
-    std::abort();
-  }
-  sim.Run();  // settle link setup
-  manager.AddFailureHandler([&jes](serving::TeId id) {
-    for (auto& je : jes) {
-      je->OnTeFailure(id);
-    }
-  });
-
-  serving::RouteConfig route;
-  route.policy = variant.policy;
-  route.seed = options.seed;
-  if (variant.eject) {
-    route.eject_consecutive_errors = options.route.outlier_errors;
-    route.eject_base = SToNs(options.route.outlier_base_s);
-    route.eject_max = SToNs(options.route.outlier_max_s);
-  }
-  if (variant.hedge) {
-    route.hedge_floor = MsToNs(options.route.hedge_ms);
-  }
-  if (options.route.retry_budget > 0) {
-    route.retry_budget = true;
-    route.retry_floor = options.route.retry_budget;
-  }
-  serving::Frontend frontend(&sim, route);
-  for (auto& je : jes) {
-    frontend.RegisterServingJe("yi-34b", je.get());
-  }
+  bed.Link();
 
   // The slow TE: replica 0's engine stretches every step for the whole run.
-  faults::FaultInjector injector(&sim, &manager, options.seed);
+  faults::FaultInjector injector(&bed.sim(), &bed.manager(), options.seed);
   char schedule[64];
   std::snprintf(schedule, sizeof(schedule), "slow@1:%.1fx%.0f#0", options.slow_factor,
                 options.duration_s);
@@ -168,64 +136,47 @@ RunResult RunVariant(const Options& options, const Variant& variant,
       *hash *= 1099511628211ull;
     }
   };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&, first_tokens, terminations, spec] {
-      serving::ChatRequest request;
-      request.model = "yi-34b";
-      request.spec = spec;
-      request.deadline = spec.arrival + MsToNs(options.deadline_ms);
-      TimeNs deadline = request.deadline;
-      serving::ResponseHandler handler;
-      handler.on_first_token = [first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-        (*first_tokens)[id] = seq.first_token_time;
-      };
-      handler.on_complete = [&result, &mix, first_tokens, terminations, spec,
-                             deadline](const flowserve::Sequence& seq) {
-        ++result.completed;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2);
-        mix(static_cast<uint64_t>(seq.finish_time));
-        if (seq.finish_time <= deadline) {
-          result.goodput_tokens += spec.decode_len;
-        }
-        auto it = first_tokens->find(spec.id);
-        TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
-        result.ttft_ms.Add(NsToMs(first - spec.arrival));
-      };
-      handler.on_error = [&result, &mix, terminations, id = spec.id](const Status&) {
-        ++result.errored;
-        if (++(*terminations)[id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(id * 2 + 1);
-      };
-      // A pre-dispatch rejection reports through the returned Status alone
-      // (the handler never fires): it is this request's one termination.
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        ++result.rejected;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2 + 1);
-      }
-    });
-  }
-  sim.Run();
+  std::map<workload::RequestId, int> terminations;
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
+                          const flowserve::Sequence& seq) {
+    ++result.completed;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix(spec.id * 2);
+    mix(static_cast<uint64_t>(seq.finish_time));
+    if (seq.finish_time <= spec.deadline) {
+      result.goodput_tokens += spec.decode_len;
+    }
+    result.ttft_ms.Add(NsToMs(first - spec.arrival));
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++result.errored;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix(spec.id * 2 + 1);
+  };
+  // A pre-dispatch rejection is this request's one termination.
+  hooks.on_reject = [&](const workload::RequestSpec& spec, const Status&) {
+    ++result.rejected;
+    if (++terminations[spec.id] > 1) {
+      ++result.double_terminated;
+    }
+    mix(spec.id * 2 + 1);
+  };
+  bed.Replay(trace, hooks);
 
-  const serving::FrontendStats& fe = frontend.stats();
+  const serving::FrontendStats& fe = bed.frontend()->stats();
   result.ejections = fe.ejections;
   result.readmissions = fe.readmissions;
   result.hedges = fe.hedges_launched;
   result.hedge_wins = fe.hedge_wins;
-  result.makespan_s = NsToS(sim.Now());
+  result.makespan_s = NsToS(bed.sim().Now());
   mix(static_cast<uint64_t>(fe.ejections));
   mix(static_cast<uint64_t>(fe.hedges_launched));
-  mix(static_cast<uint64_t>(sim.Now()));
+  mix(static_cast<uint64_t>(bed.sim().Now()));
   if (fe.requests != fe.chat_dispatched + fe.rejected_total()) {
     std::fprintf(stderr, "%s: frontend accounting violated\n", variant.label);
     std::abort();
@@ -274,6 +225,9 @@ int main(int argc, char** argv) {
       workload::TraceGenerator(trace_config)
           .GenerateBursty(options.base_rps, options.peak_rps, options.period_s,
                           /*sharpness=*/3.0);
+  for (auto& spec : trace) {
+    spec.deadline = spec.arrival + MsToNs(options.deadline_ms);
+  }
 
   std::printf("workload: %zu requests, %.1f->%.1f RPS bursts over %.0fs; replica 0 "
               "runs %.1fx slow; deadline %.0fms (seed %" PRIu64 ")\n",

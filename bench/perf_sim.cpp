@@ -384,7 +384,7 @@ struct ReplayResult {
 
 // Replays `trace` on `bed`, filling everything but the scenario's own
 // counters.
-ReplayResult TimedReplay(bench::Testbed& bed, const std::vector<workload::RequestSpec>& trace) {
+ReplayResult TimedReplay(fleet::Fleet& bed, const std::vector<workload::RequestSpec>& trace) {
   ReplayResult r;
   r.requests = trace.size();
   const sim::EventQueue& queue = bed.sim().queue();
@@ -407,15 +407,16 @@ ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
   workload::TraceConfig trace_config = workload::TraceGenerator::InternalTrace(rps, duration_s, seed);
   std::vector<workload::RequestSpec> trace = workload::TraceGenerator(trace_config).Generate();
 
-  bench::Testbed bed(/*num_machines=*/(tes + 7) / 8);
-  bed.BuildFleet(TinyEngine(), /*colocated=*/tes, /*prefill=*/0, /*decode=*/0);
+  fleet::Fleet bed(bench::TestbedSpec(/*num_machines=*/(tes + 7) / 8), bench::ActiveObs());
+  bed.AddTes(TinyEngine(), /*colocated=*/tes, /*prefill=*/0, /*decode=*/0);
+  bed.Link();
 
   return TimedReplay(bed, trace);
 }
 
 // ---------------------------------------------------------------------------
 // long_horizon: the ROADMAP baseline fleet (`deepserve_sim --colocated=8
-// --rps=4 --duration=1920`), run through the Testbed.
+// --rps=4 --duration=1920`), run through a Fleet.
 constexpr int kLongHorizonTes = 8;
 constexpr int kLongHorizonTp = 4;
 constexpr double kLongHorizonRps = 4.0;
@@ -448,8 +449,10 @@ LongHorizonResult RunLongHorizon(double duration_s, uint64_t seed) {
   engine.model = model::ModelSpec::Yi34B();
   engine.parallelism = {kLongHorizonTp, 1, 1};
   engine.role = flowserve::EngineRole::kColocated;
-  bench::Testbed bed(/*num_machines=*/(kLongHorizonTes * kLongHorizonTp + 7) / 8);
-  bed.BuildFleet(engine, /*colocated=*/kLongHorizonTes, /*prefill=*/0, /*decode=*/0);
+  fleet::Fleet bed(bench::TestbedSpec(/*num_machines=*/(kLongHorizonTes * kLongHorizonTp + 7) / 8),
+                   bench::ActiveObs());
+  bed.AddTes(engine, /*colocated=*/kLongHorizonTes, /*prefill=*/0, /*decode=*/0);
+  bed.Link();
 
   LongHorizonResult r;
   r.replay = TimedReplay(bed, trace);

@@ -4,81 +4,35 @@
 // Prints the request/job/task ledger and fleet-level statistics.
 
 #include <cstdio>
-#include <map>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "sim/simulator.h"
-#include "workload/metrics.h"
+#include "fleet/fleet.h"
 #include "workload/tracegen.h"
 
 using namespace deepserve;
 
 int main() {
-  sim::Simulator sim;
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 4;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
-
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kCombined;
-  serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeNoisyPredictor(0.9, 42));
+  fleet::FleetSpec spec;
+  spec.cluster.num_machines = 4;
+  spec.je.policy = serving::SchedulingPolicy::kCombined;
+  spec.predictor_accuracy = 0.9;
+  spec.predictor_seed = 42;
+  fleet::Fleet fleet(spec);
+  serving::JobExecutor& je = fleet.je();
 
   flowserve::EngineConfig engine;
   engine.model = model::ModelSpec::Yi34B();
   engine.parallelism = {4, 1, 1};
 
   // Fleet: 2 colocated TEs + one 1P1D pair, DistFlow-linked.
-  std::vector<distflow::EndpointId> endpoints;
-  engine.role = flowserve::EngineRole::kColocated;
-  for (int i = 0; i < 2; ++i) {
-    auto te = manager.CreateReadyTe(engine).value();
-    je.AddColocatedTe(te);
-    endpoints.push_back(te->id());
-  }
-  engine.role = flowserve::EngineRole::kPrefillOnly;
-  auto prefill_te = manager.CreateReadyTe(engine).value();
-  je.AddPrefillTe(prefill_te);
-  endpoints.push_back(prefill_te->id());
-  engine.role = flowserve::EngineRole::kDecodeOnly;
-  auto decode_te = manager.CreateReadyTe(engine).value();
-  je.AddDecodeTe(decode_te);
-  endpoints.push_back(decode_te->id());
-  DS_CHECK_OK(transfer.LinkCluster(endpoints, nullptr));
-  sim.Run();
+  fleet.AddTes(engine, /*colocated=*/2, /*prefill=*/1, /*decode=*/1);
+  fleet.Link();
 
   // 90 seconds of the code-generation trace (varied prompt/decode shapes, so
   // Algorithm 1 exercises both routes) at 1 request/second.
   auto trace = workload::TraceGenerator(workload::TraceGenerator::CodeGenTrace(1.0, 90.0))
                    .Generate();
-  workload::MetricsCollector metrics;
-  std::map<workload::RequestId, TimeNs> first_tokens;
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(
-          spec, {[&first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-            first_tokens[id] = seq.first_token_time;
-          }, [&metrics, &first_tokens, spec](const flowserve::Sequence& seq) {
-            workload::RequestRecord record;
-            record.id = spec.id;
-            record.arrival = spec.arrival;
-            auto it = first_tokens.find(spec.id);
-            record.first_token = it != first_tokens.end() ? it->second : seq.first_token_time;
-            record.completion = seq.finish_time;
-            record.prefill_len = spec.prefill_len();
-            record.decode_len = spec.decode_len;
-            metrics.Record(record);
-          }, nullptr});
-    });
-  }
-  sim.Run();
+  workload::MetricsCollector metrics = fleet.Replay(trace);
 
   std::printf("chat service summary: %s\n\n", metrics.Summary().c_str());
   std::printf("scheduling: %lld requests -> %lld colocated, %lld disaggregated "
@@ -108,7 +62,7 @@ int main() {
   }
 
   std::printf("\nper-TE load:\n");
-  for (const auto& te : manager.tes()) {
+  for (const auto& te : fleet.manager().tes()) {
     std::printf("  TE %d (%s): %lld requests, %lld steps, cache hit %.0f%%\n", te->id(),
                 std::string(flowserve::EngineRoleToString(te->role())).c_str(),
                 static_cast<long long>(te->engine().stats().submitted),
@@ -116,7 +70,7 @@ int main() {
                 100.0 * te->engine().rtc().stats().TokenHitRate());
   }
   std::printf("\nDistFlow: %lld transfers, %.2f GiB moved\n",
-              static_cast<long long>(transfer.stats().transfers),
-              BytesToGiB(transfer.stats().bytes_moved));
+              static_cast<long long>(fleet.transfer().stats().transfers),
+              BytesToGiB(fleet.transfer().stats().bytes_moved));
   return 0;
 }

@@ -29,21 +29,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "common/time_units.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
+#include "fleet/fleet.h"
 #include "serving/cluster_manager.h"
-#include "serving/frontend.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
 #include "serving/route_policy.h"
-#include "sim/simulator.h"
-#include "workload/metrics.h"
 #include "workload/tracegen.h"
 
 using namespace deepserve;
@@ -189,8 +182,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--je-replicas must be >= 1\n");
     return 2;
   }
-  sim::Simulator sim;
-  hw::ClusterConfig cluster_config;
+  fleet::FleetSpec fleet_spec;
+  hw::ClusterConfig& cluster_config = fleet_spec.cluster;
   int instances =
       flags.je_replicas * (flags.colocated + flags.prefill_tes + flags.decode_tes);
   cluster_config.npu_spec = flags.gen == "gen1" ? hw::NpuSpec::Gen1() : hw::NpuSpec::Gen2();
@@ -203,12 +196,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", mix.status().ToString().c_str());
       return 2;
     }
-    for (auto& spec : *mix) {
-      if (spec.name == "ascend-gen1" && flags.npu_cost_gen1 > 0) {
-        spec.cost_per_hour = flags.npu_cost_gen1;
+    for (auto& npu : *mix) {
+      if (npu.name == "ascend-gen1" && flags.npu_cost_gen1 > 0) {
+        npu.cost_per_hour = flags.npu_cost_gen1;
       }
-      if (spec.name == "ascend-gen2" && flags.npu_cost_gen2 > 0) {
-        spec.cost_per_hour = flags.npu_cost_gen2;
+      if (npu.name == "ascend-gen2" && flags.npu_cost_gen2 > 0) {
+        npu.cost_per_hour = flags.npu_cost_gen2;
       }
     }
     cluster_config.machine_specs = *mix;
@@ -224,35 +217,22 @@ int main(int argc, char** argv) {
     cluster_config.ub_gbps = flags.ub_gbps;
     cluster_config.machines_per_superpod = flags.machines_per_superpod;
   }
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  // Outlives `manager` (the CM detaches its state machine at destruction).
-  std::unique_ptr<ctrl::ControlLog> ctrl_log;
-  if (flags.ctrl.replicated()) {
-    ctrl_log = std::make_unique<ctrl::ControlLog>(&sim, flags.ctrl.ToConfig());
-  }
-  serving::ClusterManager manager(&sim, &cluster, &transfer, {}, {}, ctrl_log.get());
+  fleet_spec.ctrl = flags.ctrl.ToConfig();
+  fleet_spec.je.policy = *policy;
+  fleet_spec.je.cost_aware = !flags.npu_mix.empty() && !flags.hetero_blind;
+  fleet_spec.num_jes = flags.je_replicas;
+  fleet_spec.predictor_accuracy = flags.predictor_accuracy;
+  fleet_spec.predictor_seed = flags.seed;
+  fleet_spec.frontend = true;
+  fleet_spec.model = flags.model;
+  fleet_spec.route = flags.route.ToConfig(flags.seed);
+  fleet::Fleet fleet(fleet_spec);
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
   if (!flags.npu_mix.empty() && flags.hetero_blind) {
     serving::PlacementConfig placement;
     placement.hetero_aware = false;
     manager.SetPlacement(placement);
-  }
-
-  serving::JeConfig je_config;
-  je_config.policy = *policy;
-  je_config.cost_aware = !flags.npu_mix.empty() && !flags.hetero_blind;
-  std::vector<std::unique_ptr<serving::JobExecutor>> jes;
-  for (int r = 0; r < flags.je_replicas; ++r) {
-    jes.push_back(std::make_unique<serving::JobExecutor>(
-        &sim, je_config, serving::PdHeatmap::Default(),
-        flags.predictor_accuracy >= 1.0
-            ? serving::MakeOraclePredictor()
-            : serving::MakeNoisyPredictor(flags.predictor_accuracy, flags.seed)));
-    if (ctrl_log != nullptr) {
-      // Each replica's job table gets its own log domain; AttachControl also
-      // registers the replica's TE-failure handler with the manager.
-      jes.back()->AttachControl(ctrl_log.get(), &manager);
-    }
   }
 
   flowserve::EngineConfig engine;
@@ -267,52 +247,10 @@ int main(int argc, char** argv) {
   engine.sched.policy = flags.sched_policy;
   engine.sched.tbt_budget_ms = flags.tbt_ms;
   engine.sched.ttft_budget_ms = flags.ttft_ms;
-  std::vector<distflow::EndpointId> endpoints;
-  auto add_te = [&](serving::JobExecutor* je, flowserve::EngineRole role) -> bool {
-    engine.role = role;
-    auto te = manager.CreateReadyTe(engine);
-    if (!te.ok()) {
-      std::fprintf(stderr, "TE creation failed: %s\n", te.status().ToString().c_str());
-      return false;
-    }
-    endpoints.push_back((*te)->id());
-    switch (role) {
-      case flowserve::EngineRole::kColocated:
-        je->AddColocatedTe(*te);
-        break;
-      case flowserve::EngineRole::kPrefillOnly:
-        je->AddPrefillTe(*te);
-        break;
-      case flowserve::EngineRole::kDecodeOnly:
-        je->AddDecodeTe(*te);
-        break;
-    }
-    return true;
-  };
-  for (auto& je : jes) {
-    for (int i = 0; i < flags.colocated; ++i) {
-      if (!add_te(je.get(), flowserve::EngineRole::kColocated)) {
-        return 1;
-      }
-    }
-    for (int i = 0; i < flags.prefill_tes; ++i) {
-      if (!add_te(je.get(), flowserve::EngineRole::kPrefillOnly)) {
-        return 1;
-      }
-    }
-    for (int i = 0; i < flags.decode_tes; ++i) {
-      if (!add_te(je.get(), flowserve::EngineRole::kDecodeOnly)) {
-        return 1;
-      }
-    }
+  for (size_t r = 0; r < fleet.num_jes(); ++r) {
+    fleet.AddTes(engine, flags.colocated, flags.prefill_tes, flags.decode_tes, r);
   }
-  DS_CHECK_OK(transfer.LinkCluster(endpoints, nullptr));
-  sim.Run();
-
-  serving::Frontend frontend(&sim, flags.route.ToConfig(flags.seed));
-  for (auto& je : jes) {
-    frontend.RegisterServingJe(flags.model, je.get());
-  }
+  fleet.Link();
 
   bool autoscale = !flags.scale_policy.empty();
   if (autoscale) {
@@ -323,15 +261,6 @@ int main(int argc, char** argv) {
       manager.PreloadModelToDram(m, *model);
     }
     sim.Run();
-  }
-  if (ctrl_log == nullptr) {
-    // With a shared control log, AttachControl already registered per-JE
-    // failure handlers; registering again would double-dispatch retries.
-    manager.AddFailureHandler([&jes](serving::TeId id) {
-      for (auto& je : jes) {
-        je->OnTeFailure(id);
-      }
-    });
   }
   // Preloading advances sim time; shift trace arrivals so t=0 lands "now".
   const TimeNs t0 = sim.Now();
@@ -365,7 +294,7 @@ int main(int argc, char** argv) {
     as_config.min_tes = 1;
     as_config.max_tes = flags.max_tes;
     engine.role = flowserve::EngineRole::kColocated;
-    manager.StartAutoscaler(jes[0].get(), as_config, serving::ScaleRequest{engine});
+    manager.StartAutoscaler(&fleet.je(), as_config, serving::ScaleRequest{engine});
   }
   std::printf("deepserve_sim: %s %s, %d x (%d coloc + %dP%dD) (tp%d, %s), policy=%s, "
               "sched=%s, lb=%s, %.2f rps x %.0fs -> %zu requests\n",
@@ -380,39 +309,12 @@ int main(int argc, char** argv) {
                 cluster_config.enable_superpod ? "on" : "off");
   }
 
-  workload::MetricsCollector metrics;
-  std::map<workload::RequestId, TimeNs> first_tokens;
   int64_t errored = 0;
   int64_t rejected = 0;
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      serving::ChatRequest request;
-      request.model = flags.model;
-      request.spec = spec;
-      request.deadline = spec.deadline;
-      serving::ResponseHandler handler{
-          [&first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-            first_tokens[id] = seq.first_token_time;
-          },
-          [&metrics, &first_tokens, spec](const flowserve::Sequence& seq) {
-            workload::RequestRecord record;
-            record.id = spec.id;
-            record.arrival = spec.arrival;
-            auto it = first_tokens.find(spec.id);
-            record.first_token = it != first_tokens.end() ? it->second : seq.first_token_time;
-            record.completion = seq.finish_time;
-            record.prefill_len = spec.prefill_len();
-            record.decode_len = spec.decode_len;
-            metrics.Record(record);
-          },
-          [&errored](const Status&) { ++errored; }};
-      // Pre-dispatch rejections report through the Status; the handler never
-      // fires for them.
-      if (!frontend.ChatCompletion(std::move(request), std::move(handler)).ok()) {
-        ++rejected;
-      }
-    });
-  }
+  fleet::ReplayHooks hooks;
+  hooks.on_error = [&errored](const workload::RequestSpec&, const Status&) { ++errored; };
+  hooks.on_reject = [&rejected](const workload::RequestSpec&, const Status&) { ++rejected; };
+  fleet.Submit(trace, hooks);
   if (autoscale) {
     // The autoscaler's periodic tick keeps the queue non-empty: run to the
     // trace horizon, stop it, then drain the remaining in-flight work.
@@ -420,6 +322,7 @@ int main(int argc, char** argv) {
     manager.StopAutoscaler();
   }
   sim.Run();
+  const workload::MetricsCollector& metrics = fleet.metrics();
 
   std::printf("%s\n", metrics.Summary().c_str());
   if (autoscale) {
@@ -443,10 +346,10 @@ int main(int argc, char** argv) {
   int64_t routed_colocated = 0;
   int64_t routed_disaggregated = 0;
   int64_t locality_hits = 0;
-  for (auto& je : jes) {
-    routed_colocated += je->stats().routed_colocated;
-    routed_disaggregated += je->stats().routed_disaggregated;
-    locality_hits += je->stats().locality_hits;
+  for (size_t r = 0; r < fleet.num_jes(); ++r) {
+    routed_colocated += fleet.je(r).stats().routed_colocated;
+    routed_disaggregated += fleet.je(r).stats().routed_disaggregated;
+    locality_hits += fleet.je(r).stats().locality_hits;
   }
   std::printf("routing: %lld colocated, %lld disaggregated; locality hits %lld\n",
               static_cast<long long>(routed_colocated),
@@ -455,14 +358,14 @@ int main(int argc, char** argv) {
   if (!flags.npu_mix.empty()) {
     int64_t narrowed = 0;
     int64_t fallbacks = 0;
-    for (auto& je : jes) {
-      narrowed += je->stats().cost_narrowed;
-      fallbacks += je->stats().cost_fallbacks;
+    for (size_t r = 0; r < fleet.num_jes(); ++r) {
+      narrowed += fleet.je(r).stats().cost_narrowed;
+      fallbacks += fleet.je(r).stats().cost_fallbacks;
     }
     std::printf("hetero dispatch: %lld cost-narrowed, %lld fallbacks\n",
                 static_cast<long long>(narrowed), static_cast<long long>(fallbacks));
   }
-  const serving::FrontendStats& fe = frontend.stats();
+  const serving::FrontendStats& fe = fleet.frontend()->stats();
   if (fe.hedges_launched > 0 || fe.ejections > 0 || fe.rejected_total() > 0) {
     std::printf("traffic(%s): %lld hedges (%lld wins, %lld cancels), %lld ejections "
                 "(%lld readmissions), %lld rejected\n",

@@ -6,10 +6,7 @@
 #include <cstdio>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
-#include "sim/simulator.h"
+#include "fleet/fleet.h"
 #include "workload/tracegen.h"
 
 using namespace deepserve;
@@ -17,24 +14,20 @@ using namespace deepserve;
 namespace {
 
 void RunMode(flowserve::KvTransferMode mode, const char* label) {
-  sim::Simulator sim;
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 2;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.cluster.num_machines = 2;
+  fleet::Fleet fleet(fleet_spec);
+  sim::Simulator& sim = fleet.sim();
 
   flowserve::EngineConfig engine;
   engine.model = model::ModelSpec::Yi34B();
   engine.parallelism = {4, 1, 1};
   engine.kv_transfer_mode = mode;
 
-  engine.role = flowserve::EngineRole::kPrefillOnly;
-  auto prefill_te = manager.CreateReadyTe(engine).value();
-  engine.role = flowserve::EngineRole::kDecodeOnly;
-  auto decode_te = manager.CreateReadyTe(engine).value();
-  DS_CHECK_OK(transfer.LinkCluster({prefill_te->id(), decode_te->id()}, nullptr));
-  sim.Run();
+  // Submitted to the TEs directly, bypassing the JE, to show the hand-off.
+  auto prefill_te = fleet.AddTe(flowserve::EngineRole::kPrefillOnly, engine);
+  auto decode_te = fleet.AddTe(flowserve::EngineRole::kDecodeOnly, engine);
+  fleet.Link();
 
   std::printf("--- %s ---\n", label);
   auto batch = workload::TraceGenerator::FixedBatch(4, 2048, 128, /*seed=*/11);
@@ -60,7 +53,7 @@ void RunMode(flowserve::KvTransferMode mode, const char* label) {
   Bytes kv_per_req = static_cast<Bytes>(2048) * engine.model.KvBytesPerToken();
   std::printf("KV per request: %.2f GiB; DistFlow moved %.2f GiB total "
               "(by-layer streams all but the last layer during prefill)\n\n",
-              BytesToGiB(kv_per_req), BytesToGiB(transfer.stats().bytes_moved));
+              BytesToGiB(kv_per_req), BytesToGiB(fleet.transfer().stats().bytes_moved));
 }
 
 }  // namespace

@@ -6,24 +6,18 @@
 #include <cstdio>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "sim/simulator.h"
-#include "workload/metrics.h"
+#include "fleet/fleet.h"
 #include "workload/tracegen.h"
 
 using namespace deepserve;
 
 int main() {
-  sim::Simulator sim;
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 8;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.cluster.num_machines = 8;
+  fleet_spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  fleet::Fleet fleet(fleet_spec);
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
 
   // Platform preparation: pre-warmed pools + predictive model pre-loading.
   manager.ReservePrewarmedPods(8);
@@ -32,16 +26,10 @@ int main() {
   sim.Run();
   const TimeNs t0 = sim.Now();  // preload streaming finished here
 
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-
   flowserve::EngineConfig engine;
   engine.model = model::ModelSpec::Llama3_8B();
   engine.parallelism = {1, 1, 1};
-  auto first_te = manager.CreateReadyTe(engine).value();
-  je.AddColocatedTe(first_te);
+  auto first_te = fleet.AddTe(flowserve::EngineRole::kColocated, engine);
 
   serving::AutoscalerConfig as;
   as.check_interval = SToNs(1.0);
@@ -51,10 +39,9 @@ int main() {
   serving::ScaleRequest request;
   request.engine = engine;
   request.fork_source = first_te->id();  // NPU-fork from the live TE
-  manager.StartAutoscaler(&je, as, request);
+  manager.StartAutoscaler(&fleet.je(), as, request);
 
   // Baseline load for 20 s, then a 5x burst for 60 s.
-  workload::MetricsCollector metrics;
   auto replay = [&](double rps, double start_s, double duration_s, uint64_t seed) {
     auto config = workload::TraceGenerator::InternalTrace(rps, duration_s, seed);
     config.prefill = workload::LengthDistribution{1024, 0.25, 128, 4096};
@@ -62,19 +49,8 @@ int main() {
     for (auto& spec : trace) {
       spec.arrival += t0 + SToNs(start_s);
       spec.id += seed * 1000000;
-      sim.ScheduleAt(spec.arrival, [&, spec] {
-        je.HandleRequest(spec, {nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
-          workload::RequestRecord record;
-          record.id = spec.id;
-          record.arrival = spec.arrival;
-          record.first_token = seq.first_token_time;
-          record.completion = seq.finish_time;
-          record.prefill_len = spec.prefill_len();
-          record.decode_len = spec.decode_len;
-          metrics.Record(record);
-        }, nullptr});
-      });
     }
+    fleet.Submit(trace);
   };
   replay(0.5, 0, 20, 1);
   replay(4.0, 20, 60, 2);
@@ -98,7 +74,7 @@ int main() {
   manager.StopAutoscaler();
   sim.Run();
 
-  std::printf("\nburst handled: %s\n", metrics.Summary().c_str());
+  std::printf("\nburst handled: %s\n", fleet.metrics().Summary().c_str());
   std::printf("scaling: %lld scale-ups (%lld NPU-forks, %lld pre-warmed pods, "
               "%lld pre-warmed TEs, %lld DRAM hits)\n",
               static_cast<long long>(manager.stats().scale_ups),

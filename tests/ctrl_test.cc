@@ -26,29 +26,10 @@
 #include "serving/predictor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve {
 namespace {
-
-flowserve::EngineConfig SmallEngine(flowserve::EngineRole role) {
-  flowserve::EngineConfig config;
-  config.model = model::ModelSpec::Tiny1B();
-  config.parallelism = {1, 1, 1};
-  config.role = role;
-  config.kv_block_capacity_override = 4096;
-  return config;
-}
-
-workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
-                                  TokenId base = 700) {
-  workload::RequestSpec spec;
-  spec.id = id;
-  spec.decode_len = decode;
-  for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 8000));
-  }
-  return spec;
-}
 
 // ---------------- ControlLog: sequencing, apply, replay ----------------
 

@@ -147,6 +147,7 @@ TEST(DsLintFixtures, BadDeferredHeaderThisAndAudits) {
 TEST(DsLintFixtures, LayeringEdgesAndSeededCycle) {
   // One source set so the include graph sees both halves of the cycle.
   CheckFixtures({"layer/src/sim/good_edge.h", "layer/src/ctrl/bad_edge.h",
+                 "layer/src/serving/bad_fleet_edge.h",
                  "layer/src/distflow/uses_rtc.h", "layer/src/rtc/bad_cycle.h"});
 }
 

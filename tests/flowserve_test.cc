@@ -10,6 +10,7 @@
 #include "workload/metrics.h"
 #include "workload/request.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve::flowserve {
 namespace {
@@ -25,19 +26,6 @@ EngineConfig TestConfig() {
   config.prefill_chunk_tokens = 512;
   config.kv_block_capacity_override = 4096;
   return config;
-}
-
-RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
-                        TokenId base = 1000) {
-  RequestSpec spec;
-  spec.id = id;
-  spec.arrival = 0;
-  spec.decode_len = decode;
-  spec.prompt.reserve(static_cast<size_t>(prefill));
-  for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 7000));
-  }
-  return spec;
 }
 
 class EngineTest : public ::testing::Test {
@@ -70,7 +58,7 @@ class EngineTest : public ::testing::Test {
 
 TEST_F(EngineTest, SingleRequestCompletes) {
   Start(TestConfig());
-  auto out = Run(MakeRequest(1, 512, 32));
+  auto out = Run(MakeRequest(1, 512, 32, 1000, 7000));
   EXPECT_TRUE(out.completed);
   EXPECT_GT(out.first_token, 0);
   EXPECT_GT(out.finish, out.first_token);
@@ -80,7 +68,7 @@ TEST_F(EngineTest, SingleRequestCompletes) {
 
 TEST_F(EngineTest, DecodeTokensMatchTarget) {
   Start(TestConfig());
-  Run(MakeRequest(1, 256, 64));
+  Run(MakeRequest(1, 256, 64, 1000, 7000));
   // Prefill emits token 1; decode generates the remaining 63.
   EXPECT_EQ(engine_->stats().decode_tokens_generated, 63);
   EXPECT_EQ(engine_->stats().prefill_tokens_processed, 256);
@@ -88,7 +76,7 @@ TEST_F(EngineTest, DecodeTokensMatchTarget) {
 
 TEST_F(EngineTest, SingleTokenRequest) {
   Start(TestConfig());
-  auto out = Run(MakeRequest(1, 128, 1));
+  auto out = Run(MakeRequest(1, 128, 1, 1000, 7000));
   EXPECT_TRUE(out.completed);
   EXPECT_EQ(out.first_token, out.finish);
   EXPECT_EQ(engine_->stats().decode_tokens_generated, 0);
@@ -96,11 +84,11 @@ TEST_F(EngineTest, SingleTokenRequest) {
 
 TEST_F(EngineTest, TtftGrowsWithPromptLength) {
   Start(TestConfig());
-  auto small = Run(MakeRequest(1, 256, 2, 100));
+  auto small = Run(MakeRequest(1, 256, 2, 100, 7000));
   sim::Simulator sim2;
   Engine engine2(&sim2, TestConfig());
   TimeNs big_first = 0;
-  engine2.Submit(MakeRequest(2, 4096, 2, 30000),
+  engine2.Submit(MakeRequest(2, 4096, 2, 30000, 7000),
                  [&](const Sequence& seq) { big_first = seq.first_token_time; },
                  [](const Sequence&) {});
   sim2.Run();
@@ -109,10 +97,10 @@ TEST_F(EngineTest, TtftGrowsWithPromptLength) {
 
 TEST_F(EngineTest, PrefixCacheReuseAcrossRequests) {
   Start(TestConfig());
-  auto first = Run(MakeRequest(1, 1024, 8));
+  auto first = Run(MakeRequest(1, 1024, 8, 1000, 7000));
   EXPECT_EQ(first.reused, 0);
   // Identical prompt: everything except the final partial block is reused.
-  auto second = Run(MakeRequest(2, 1024, 8));
+  auto second = Run(MakeRequest(2, 1024, 8, 1000, 7000));
   EXPECT_GE(second.reused, 1024 - 2 * 16);
   EXPECT_GT(engine_->stats().reused_tokens, 0);
   // Reuse shortens TTFT (relative to arrival-at-submit timings).
@@ -123,8 +111,8 @@ TEST_F(EngineTest, CacheDisabledMeansNoReuse) {
   auto config = TestConfig();
   config.enable_prefix_caching = false;
   Start(config);
-  Run(MakeRequest(1, 1024, 8));
-  auto second = Run(MakeRequest(2, 1024, 8));
+  Run(MakeRequest(1, 1024, 8, 1000, 7000));
+  auto second = Run(MakeRequest(2, 1024, 8, 1000, 7000));
   EXPECT_EQ(second.reused, 0);
 }
 
@@ -134,7 +122,7 @@ TEST_F(EngineTest, ContinuousBatchingOverlapsRequests) {
   int completed = 0;
   for (int i = 0; i < 8; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 64,
-                                static_cast<TokenId>(100 + 8000 * i)),
+                                static_cast<TokenId>(100 + 8000 * i), 7000),
                     nullptr, [&](const Sequence&) { ++completed; });
   }
   sim_.Run();
@@ -147,7 +135,7 @@ TEST_F(EngineTest, ChunkedPrefillSplitsLongPrompts) {
   auto config = TestConfig();
   config.prefill_chunk_tokens = 256;
   Start(config);
-  Run(MakeRequest(1, 2048, 2));
+  Run(MakeRequest(1, 2048, 2, 1000, 7000));
   // 2048 tokens at 256/step = 8 prefill steps minimum.
   EXPECT_GE(engine_->stats().steps, 8);
 }
@@ -161,7 +149,7 @@ TEST_F(EngineTest, AsyncSchedulingBeatsSyncOnCpuBoundBatches) {
     int done = 0;
     for (int i = 0; i < 16; ++i) {
       engine.Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 128, 128,
-                                static_cast<TokenId>(100 + 500 * i)),
+                                static_cast<TokenId>(100 + 500 * i), 7000),
                     nullptr, [&](const Sequence&) { ++done; });
     }
     sim.Run();
@@ -182,7 +170,7 @@ TEST_F(EngineTest, PreemptionRecoversFromKvPressure) {
   int completed = 0;
   for (int i = 0; i < 4; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 256,
-                                static_cast<TokenId>(100 + 900 * i)),
+                                static_cast<TokenId>(100 + 900 * i), 7000),
                     nullptr, [&](const Sequence&) { ++completed; });
   }
   sim_.Run();
@@ -199,7 +187,7 @@ TEST_F(EngineTest, PrefillOnlyRoleEmitsFirstTokenAndHandsOff) {
     sent_bytes = bytes;
     sim_.ScheduleAfter(MsToNs(5), std::move(done));
   });
-  auto out = Run(MakeRequest(1, 512, 100));
+  auto out = Run(MakeRequest(1, 512, 100, 1000, 7000));
   EXPECT_TRUE(out.completed);
   EXPECT_GT(out.first_token, 0);
   EXPECT_GT(sent_bytes, 0u);
@@ -219,7 +207,7 @@ TEST_F(EngineTest, ByLayerTransferMovesLessResidualKv) {
       sent = bytes;
       sim.ScheduleAfter(0, std::move(done));
     });
-    engine.Submit(MakeRequest(1, 512, 10), nullptr, [](const Sequence&) {});
+    engine.Submit(MakeRequest(1, 512, 10, 1000, 7000), nullptr, [](const Sequence&) {});
     sim.Run();
     return sent;
   };
@@ -234,7 +222,7 @@ TEST_F(EngineTest, DecodeOnlyRoleAcceptsPrefilled) {
   Start(config);
   bool completed = false;
   ASSERT_TRUE(engine_
-                  ->SubmitPrefilled(MakeRequest(1, 512, 64),
+                  ->SubmitPrefilled(MakeRequest(1, 512, 64, 1000, 7000),
                                     [&](const Sequence&) { completed = true; })
                   .ok());
   sim_.Run();
@@ -248,16 +236,16 @@ TEST_F(EngineTest, SubmitPrefilledFailsWhenContextCannotFit) {
   config.role = EngineRole::kDecodeOnly;
   config.kv_block_capacity_override = 8;
   Start(config);
-  EXPECT_FALSE(engine_->SubmitPrefilled(MakeRequest(1, 512, 4), nullptr).ok());
+  EXPECT_FALSE(engine_->SubmitPrefilled(MakeRequest(1, 512, 4, 1000, 7000), nullptr).ok());
 }
 
 TEST_F(EngineTest, ExplicitContextCaching) {
   Start(TestConfig());
-  auto spec = MakeRequest(1, 1024, 4);
+  auto spec = MakeRequest(1, 1024, 4, 1000, 7000);
   spec.context_id = "session-42";
   Run(spec);
   // Same id, different (longer) prompt suffix: ID match still reuses prefix.
-  auto follow = MakeRequest(2, 1024, 4);
+  auto follow = MakeRequest(2, 1024, 4, 1000, 7000);
   follow.context_id = "session-42";
   auto out = Run(follow);
   EXPECT_GT(out.reused, 0);
@@ -270,7 +258,7 @@ TEST_F(EngineTest, PipelineParallelStepsRotateMicroBatches) {
   int completed = 0;
   for (int i = 0; i < 8; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 32,
-                                static_cast<TokenId>(100 + 3000 * i)),
+                                static_cast<TokenId>(100 + 3000 * i), 7000),
                     nullptr, [&](const Sequence&) { ++completed; });
   }
   sim_.Run();
@@ -286,12 +274,12 @@ TEST_F(EngineTest, PpChunkSpreadingImprovesTtft) {
     config.pp_spread_chunks = spread;
     Engine engine(&sim, config);
     TimeNs first = 0;
-    engine.Submit(MakeRequest(1, 4096, 4), [&](const Sequence& seq) { first = seq.first_token_time; },
+    engine.Submit(MakeRequest(1, 4096, 4, 1000, 7000), [&](const Sequence& seq) { first = seq.first_token_time; },
                   [](const Sequence&) {});
     // Background decodes keep all micro-batches busy.
     for (int i = 0; i < 8; ++i) {
       engine.Submit(MakeRequest(static_cast<workload::RequestId>(100 + i), 64, 256,
-                                static_cast<TokenId>(20000 + 700 * i)),
+                                static_cast<TokenId>(20000 + 700 * i), 7000),
                     nullptr, [](const Sequence&) {});
     }
     sim.Run();
@@ -310,7 +298,7 @@ TEST_F(EngineTest, DataParallelGroupsShareLoad) {
   int completed = 0;
   for (int i = 0; i < 8; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 256, 32,
-                                static_cast<TokenId>(100 + 2000 * i)),
+                                static_cast<TokenId>(100 + 2000 * i), 7000),
                     nullptr, [&](const Sequence&) { ++completed; });
   }
   sim_.Run();
@@ -324,9 +312,9 @@ TEST_F(EngineTest, DpGroupsHaveIsolatedCaches) {
   auto config = TestConfig();
   config.parallelism = {1, 1, 2};
   Start(config);
-  Run(MakeRequest(1, 1024, 4));
+  Run(MakeRequest(1, 1024, 4, 1000, 7000));
   // The entry lives in exactly one group's RTC replica.
-  auto tokens = MakeRequest(1, 1024, 4).prompt;
+  auto tokens = MakeRequest(1, 1024, 4, 1000, 7000).prompt;
   bool g0 = engine_->rtc(0).MatchByPrefixToken(tokens).hit();
   bool g1 = engine_->rtc(1).MatchByPrefixToken(tokens).hit();
   EXPECT_NE(g0, g1);
@@ -334,7 +322,7 @@ TEST_F(EngineTest, DpGroupsHaveIsolatedCaches) {
 
 TEST_F(EngineTest, LoadInfoReflectsRunningWork) {
   Start(TestConfig());
-  engine_->Submit(MakeRequest(1, 2048, 512), nullptr, [](const Sequence&) {});
+  engine_->Submit(MakeRequest(1, 2048, 512, 1000, 7000), nullptr, [](const Sequence&) {});
   sim_.RunUntil(MsToNs(400));
   auto load = engine_->load();
   EXPECT_EQ(load.waiting + load.running, 1);
@@ -345,7 +333,7 @@ TEST_F(EngineTest, LoadInfoReflectsRunningWork) {
 
 TEST_F(EngineTest, StatsAccounting) {
   Start(TestConfig());
-  Run(MakeRequest(1, 512, 16));
+  Run(MakeRequest(1, 512, 16, 1000, 7000));
   const auto& stats = engine_->stats();
   EXPECT_EQ(stats.submitted, 1);
   EXPECT_EQ(stats.completed, 1);
@@ -357,7 +345,7 @@ TEST_F(EngineTest, StatsAccounting) {
 TEST_F(EngineTest, CancelDuringInFlightStep) {
   Start(TestConfig());
   bool completed = false;
-  engine_->Submit(MakeRequest(7, 512, 50), nullptr,
+  engine_->Submit(MakeRequest(7, 512, 50, 1000, 7000), nullptr,
                   [&](const Sequence&) { completed = true; });
   // Advance until the first step has been issued but not yet completed.
   while (engine_->stats().steps < 1 && sim_.Step()) {
@@ -383,7 +371,7 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
       [this](rtc::Tier, rtc::Tier, Bytes, std::function<void()> done) {
         sim_.ScheduleAfter(MsToNs(10), std::move(done));
       });
-  auto spec = MakeRequest(1, 256, 2);
+  auto spec = MakeRequest(1, 256, 2, 1000, 7000);
   ASSERT_TRUE(Run(spec).completed);  // warm the prefix cache
   // Demote the cached prompt: copy to DRAM, then drop its NPU residency.
   auto match = engine_->rtc().MatchByPrefixToken(spec.prompt);
@@ -395,7 +383,7 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
   // Same prompt again: the match is off-NPU and cheap to fetch, so the
   // request parks in kWaitingPopulate while the (slow) transfer runs.
   bool completed = false;
-  engine_->Submit(MakeRequest(2, 256, 2), nullptr,
+  engine_->Submit(MakeRequest(2, 256, 2, 1000, 7000), nullptr,
                   [&](const Sequence&) { completed = true; });
   while (engine_->stats().populates_started < 1 && sim_.Step()) {
   }
@@ -411,7 +399,7 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
   // sequence leaked neither its acquisitions nor the populate pins.
   EXPECT_EQ(engine_->rtc().pool().used(rtc::Tier::kNpu), 15);
   // The populated blocks are still a usable cache entry.
-  auto third = Run(MakeRequest(3, 256, 2));
+  auto third = Run(MakeRequest(3, 256, 2, 1000, 7000));
   EXPECT_TRUE(third.completed);
   EXPECT_EQ(third.reused, 15 * 16);
 }
@@ -424,12 +412,12 @@ TEST_F(EngineTest, CancelledSequenceStepDoesNotCreditItsSuccessor) {
   auto config = TestConfig();
   config.role = EngineRole::kDecodeOnly;
   Start(config);
-  ASSERT_TRUE(engine_->SubmitPrefilled(MakeRequest(1, 512, 64), nullptr).ok());
+  ASSERT_TRUE(engine_->SubmitPrefilled(MakeRequest(1, 512, 64, 1000, 7000), nullptr).ok());
   ASSERT_EQ(engine_->stats().steps, 1) << "A's first step is in flight";
   ASSERT_TRUE(engine_->Cancel(1).ok());
   bool completed = false;
   ASSERT_TRUE(engine_
-                  ->SubmitPrefilled(MakeRequest(2, 512, 64),
+                  ->SubmitPrefilled(MakeRequest(2, 512, 64, 1000, 7000),
                                     [&](const Sequence&) { completed = true; })
                   .ok());
   sim_.Run();
@@ -446,14 +434,14 @@ TEST_F(EngineTest, CancelledSequenceTokenizerEventDoesNotEnqueueItsSuccessor) {
   auto config = TestConfig();
   config.enable_prefix_caching = false;  // finished work holds no blocks
   Start(config);
-  ASSERT_TRUE(Run(MakeRequest(2, 512, 8)).completed);
+  ASSERT_TRUE(Run(MakeRequest(2, 512, 8, 1000, 7000)).completed);
   const int64_t steps_alone = engine_->stats().steps;
   ASSERT_EQ(steps_alone, 8);
 
   Start(config);
-  engine_->Submit(MakeRequest(1, 512, 8), nullptr, nullptr);
+  engine_->Submit(MakeRequest(1, 512, 8, 1000, 7000), nullptr, nullptr);
   ASSERT_TRUE(engine_->Cancel(1).ok()) << "A is still in the tokenizer";
-  auto b = Run(MakeRequest(2, 512, 8));
+  auto b = Run(MakeRequest(2, 512, 8, 1000, 7000));
   EXPECT_TRUE(b.completed);
   EXPECT_EQ(engine_->stats().steps, steps_alone);
   EXPECT_EQ(engine_->stats().completed, 1);
@@ -472,7 +460,7 @@ TEST_P(EngineSweepTest, AllRequestsComplete) {
   int completed = 0;
   for (int i = 0; i < count; ++i) {
     engine.Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), prefill, decode,
-                              static_cast<TokenId>(100 + 997 * i)),
+                              static_cast<TokenId>(100 + 997 * i), 7000),
                   nullptr, [&](const Sequence&) { ++completed; });
   }
   sim.Run();

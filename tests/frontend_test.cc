@@ -17,30 +17,10 @@
 #include "sim/simulator.h"
 #include "workload/metrics.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve {
 namespace {
-
-flowserve::EngineConfig SmallEngine(flowserve::EngineRole role,
-                                    const model::ModelSpec& model = model::ModelSpec::Tiny1B()) {
-  flowserve::EngineConfig config;
-  config.model = model;
-  config.parallelism = {1, 1, 1};
-  config.role = role;
-  config.kv_block_capacity_override = 4096;
-  return config;
-}
-
-workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
-                                  TokenId base = 900) {
-  workload::RequestSpec spec;
-  spec.id = id;
-  spec.decode_len = decode;
-  for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 6000));
-  }
-  return spec;
-}
 
 // ---------------- Frontend ----------------
 
@@ -87,7 +67,7 @@ TEST_F(FrontendTest, RoutesByModelName) {
   frontend.RegisterServingJe("tiny-1b", je.get());
   bool done = false;
   EXPECT_TRUE(frontend
-                  .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 128, 8)),
+                  .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 128, 8, 900, 6000)),
                                   {nullptr, [&](const flowserve::Sequence&) { done = true; },
                                    nullptr})
                   .ok());
@@ -102,7 +82,7 @@ TEST_F(FrontendTest, UnknownModelRejectedThroughStatusExactlyOnce) {
   // both would double-count the request).
   serving::Frontend frontend;
   int error_calls = 0;
-  Status s = frontend.ChatCompletion(Chat("gpt-17", MakeRequest(1, 64, 4)),
+  Status s = frontend.ChatCompletion(Chat("gpt-17", MakeRequest(1, 64, 4, 900, 6000)),
                                      {nullptr, nullptr, [&](const Status&) { ++error_calls; }});
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(error_calls, 0);  // the Status is the one and only report
@@ -116,7 +96,7 @@ TEST_F(FrontendTest, DeadlineAlreadyMissedRejected) {
   auto je = MakeJeWithTe();
   frontend.RegisterServingJe("tiny-1b", je.get());
   sim_.ScheduleAt(MsToNs(100), [&] {
-    auto request = Chat("tiny-1b", MakeRequest(1, 64, 4));
+    auto request = Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000));
     request.deadline = MsToNs(50);  // already in the past
     int error_calls = 0;
     EXPECT_EQ(frontend.ChatCompletion(std::move(request),
@@ -134,7 +114,7 @@ TEST_F(FrontendTest, PriorityOverrideReachesEngine) {
   serving::Frontend frontend;
   auto je = MakeJeWithTe();
   frontend.RegisterServingJe("tiny-1b", je.get());
-  auto request = Chat("tiny-1b", MakeRequest(1, 64, 4));
+  auto request = Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000));
   request.spec.priority = 2;
   request.priority = 0;  // envelope overrides the spec
   int seen_priority = -1;
@@ -161,7 +141,7 @@ TEST_F(FrontendTest, RoundRobinAcrossJeReplicas) {
     ASSERT_TRUE(frontend
                     .ChatCompletion(Chat("tiny-1b", MakeRequest(
                                                         static_cast<workload::RequestId>(i + 1),
-                                                        64, 4)),
+                                                        64, 4, 900, 6000)),
                                     {nullptr, nullptr, nullptr})
                     .ok());
   }
@@ -182,7 +162,7 @@ TEST_F(FrontendTest, SkipsJeWithoutCapacity) {
     ASSERT_TRUE(frontend
                     .ChatCompletion(Chat("tiny-1b", MakeRequest(
                                                         static_cast<workload::RequestId>(i + 1),
-                                                        64, 4)),
+                                                        64, 4, 900, 6000)),
                                     {nullptr, nullptr, nullptr})
                     .ok());
   }
@@ -198,7 +178,7 @@ TEST_F(FrontendTest, AllReplicasDownMeansUnavailable) {
       &sim_, config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor());
   frontend.RegisterServingJe("tiny-1b", empty_je.get());
   EXPECT_EQ(frontend
-                .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 64, 4)),
+                .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000)),
                                 {nullptr, nullptr, nullptr})
                 .code(),
             StatusCode::kUnavailable);
@@ -214,7 +194,7 @@ TEST_F(FrontendTest, CapacityConsultsTeStateNotGroupMembership) {
   frontend.RegisterServingJe("tiny-1b", je.get());
   ASSERT_TRUE(manager_->KillTe(last_te_->id()).ok());
   EXPECT_EQ(frontend
-                .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 64, 4)),
+                .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000)),
                                 {nullptr, nullptr, nullptr})
                 .code(),
             StatusCode::kUnavailable);
@@ -239,7 +219,7 @@ TEST_F(FrontendTest, RoundRobinSkipsFailedReplicaAndResumesOnReplacement) {
     ASSERT_TRUE(frontend
                     .ChatCompletion(Chat("tiny-1b", MakeRequest(
                                                         static_cast<workload::RequestId>(i + 1),
-                                                        64, 4)),
+                                                        64, 4, 900, 6000)),
                                     {nullptr, nullptr, nullptr})
                     .ok());
   }
@@ -254,7 +234,7 @@ TEST_F(FrontendTest, RoundRobinSkipsFailedReplicaAndResumesOnReplacement) {
     ASSERT_TRUE(frontend
                     .ChatCompletion(Chat("tiny-1b", MakeRequest(
                                                         static_cast<workload::RequestId>(i + 10),
-                                                        64, 4)),
+                                                        64, 4, 900, 6000)),
                                     {nullptr, nullptr, nullptr})
                     .ok());
   }
@@ -276,7 +256,7 @@ TEST_F(FrontendTest, PostDispatchLossDeliversOnError) {
   int errors = 0;
   Status seen = Status::Ok();
   ASSERT_TRUE(frontend
-                  .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 2048, 2048)),
+                  .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 2048, 2048, 900, 6000)),
                                   {nullptr,
                                    [&](const flowserve::Sequence&) { ++completions; },
                                    [&](const Status& e) {
@@ -324,14 +304,14 @@ TEST(PriorityTest, InteractiveJumpsTheQueue) {
   // A pile of batch-class work...
   for (int i = 0; i < 12; ++i) {
     auto spec = MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 256,
-                            static_cast<TokenId>(100 + 501 * i));
+                            static_cast<TokenId>(100 + 501 * i), 6000);
     spec.priority = 2;
     engine.Submit(spec, nullptr, nullptr);
   }
   // ...then one interactive request arrives late.
   TimeNs vip_first = 0;
   sim.ScheduleAt(MsToNs(50), [&] {
-    auto vip = MakeRequest(100, 1024, 8, 30000);
+    auto vip = MakeRequest(100, 1024, 8, 30000, 6000);
     vip.priority = 0;
     engine.Submit(vip, [&](const flowserve::Sequence& seq) {
       vip_first = seq.first_token_time;
@@ -340,7 +320,7 @@ TEST(PriorityTest, InteractiveJumpsTheQueue) {
   // An equally-late batch request for comparison.
   TimeNs batch_first = 0;
   sim.ScheduleAt(MsToNs(50), [&] {
-    auto late = MakeRequest(101, 1024, 8, 50000);
+    auto late = MakeRequest(101, 1024, 8, 50000, 6000);
     late.priority = 2;
     engine.Submit(late, [&](const flowserve::Sequence& seq) {
       batch_first = seq.first_token_time;
@@ -359,12 +339,12 @@ TEST(PriorityTest, PreemptionVictimizesBatchClassFirst) {
   flowserve::Engine engine(&sim, config);
   // One interactive and one batch decode fill the KV space; growth pressure
   // must preempt the batch one.
-  auto vip = MakeRequest(1, 512, 512, 1000);
+  auto vip = MakeRequest(1, 512, 512, 1000, 6000);
   vip.priority = 0;
   TimeNs vip_done = 0;
   engine.Submit(vip, nullptr,
                 [&](const flowserve::Sequence& seq) { vip_done = seq.finish_time; });
-  auto batch = MakeRequest(2, 512, 512, 40000);
+  auto batch = MakeRequest(2, 512, 512, 40000, 6000);
   batch.priority = 2;
   TimeNs batch_done = 0;
   engine.Submit(batch, nullptr,
@@ -441,7 +421,7 @@ TEST(AdaptiveChunkTest, NoRegressionWithoutDecodeLoad) {
   config.chunk_target_tpot_ms = 10.0;
   flowserve::Engine engine(&sim, config);
   bool done = false;
-  engine.Submit(MakeRequest(1, 4096, 2), nullptr,
+  engine.Submit(MakeRequest(1, 4096, 2, 900, 6000), nullptr,
                 [&](const flowserve::Sequence&) { done = true; });
   sim.Run();
   EXPECT_TRUE(done);

@@ -24,6 +24,7 @@
 #include "serving/task_executor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve {
 namespace {
@@ -83,17 +84,6 @@ flowserve::EngineConfig EngineFor(const model::ModelSpec& model, int tp) {
   config.role = flowserve::EngineRole::kColocated;
   config.npu_spec_from_placement = true;
   return config;
-}
-
-workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
-                                  TokenId base = 700) {
-  workload::RequestSpec spec;
-  spec.id = id;
-  spec.decode_len = decode;
-  for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 8000));
-  }
-  return spec;
 }
 
 // ---------------- ClusterManager placement ----------------

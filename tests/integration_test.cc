@@ -16,19 +16,12 @@
 #include "sim/simulator.h"
 #include "workload/metrics.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve {
 namespace {
 
 using serving::SchedulingPolicy;
-
-flowserve::EngineConfig SmallEngine(flowserve::EngineRole role) {
-  flowserve::EngineConfig config;
-  config.model = model::ModelSpec::Tiny1B();
-  config.parallelism = {1, 1, 1};
-  config.role = role;
-  return config;
-}
 
 // A whole-platform fixture: cluster + DistFlow + manager + JE.
 class PlatformTest : public ::testing::Test {
@@ -53,7 +46,7 @@ class PlatformTest : public ::testing::Test {
   void BuildFleet(int colocated, int prefill, int decode) {
     std::vector<distflow::EndpointId> endpoints;
     auto add = [&](flowserve::EngineRole role) {
-      auto te = manager_->CreateReadyTe(SmallEngine(role)).value();
+      auto te = manager_->CreateReadyTe(SmallEngine(role, 0)).value();
       endpoints.push_back(te->id());
       switch (role) {
         case flowserve::EngineRole::kColocated:
@@ -171,7 +164,7 @@ TEST_F(PlatformTest, ByRequestTransferSlowerThanByLayer) {
     hw::Cluster cluster(&sim, cc);
     distflow::TransferEngine transfer(&sim, &cluster, {});
     serving::ClusterManager manager(&sim, &cluster, &transfer);
-    auto engine_config = SmallEngine(flowserve::EngineRole::kPrefillOnly);
+    auto engine_config = SmallEngine(flowserve::EngineRole::kPrefillOnly, 0);
     engine_config.kv_transfer_mode = mode;
     auto prefill = manager.CreateReadyTe(engine_config).value();
     engine_config.role = flowserve::EngineRole::kDecodeOnly;
@@ -197,7 +190,7 @@ TEST_F(PlatformTest, ScaledUpTeImmediatelyServes) {
   manager_->ReservePrewarmedPods(2);
   manager_->ReservePrewarmedTes(2);
   serving::ScaleRequest request;
-  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated, 0);
   bool served = false;
   ASSERT_TRUE(manager_
                   ->ScaleUp(request,
@@ -229,7 +222,7 @@ TEST_F(PlatformTest, DeterministicAcrossRuns) {
     je_config.policy = SchedulingPolicy::kCombined;
     serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
                             serving::MakeNoisyPredictor(0.9, seed));
-    auto te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
+    auto te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated, 0)).value();
     je.AddColocatedTe(te);
     auto trace = workload::TraceGenerator(
                      workload::TraceGenerator::InternalTrace(2.0, 20.0, seed))
@@ -256,7 +249,7 @@ TEST_F(PlatformTest, DeterministicAcrossRuns) {
 TEST_F(PlatformTest, CachePressureWithLocalityStillCompletesEverything) {
   MakeJe(SchedulingPolicy::kCombined);
   // Tiny KV capacity to force constant eviction/preemption under load.
-  auto engine_config = SmallEngine(flowserve::EngineRole::kColocated);
+  auto engine_config = SmallEngine(flowserve::EngineRole::kColocated, 0);
   engine_config.kv_block_capacity_override = 256;
   auto te1 = manager_->CreateReadyTe(engine_config).value();
   auto te2 = manager_->CreateReadyTe(engine_config).value();
@@ -275,7 +268,7 @@ TEST_F(PlatformTest, CachePressureWithLocalityStillCompletesEverything) {
 
 TEST_F(PlatformTest, PopulatePathExercisedUnderTierPressure) {
   MakeJe(SchedulingPolicy::kLocalityOnly);
-  auto engine_config = SmallEngine(flowserve::EngineRole::kColocated);
+  auto engine_config = SmallEngine(flowserve::EngineRole::kColocated, 0);
   engine_config.kv_block_capacity_override = 512;
   auto te = manager_->CreateReadyTe(engine_config).value();
   je_->AddColocatedTe(te);

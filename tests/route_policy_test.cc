@@ -20,18 +20,10 @@
 #include "serving/route_policy.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve {
 namespace {
-
-flowserve::EngineConfig SmallEngine(flowserve::EngineRole role) {
-  flowserve::EngineConfig config;
-  config.model = model::ModelSpec::Tiny1B();
-  config.parallelism = {1, 1, 1};
-  config.role = role;
-  config.kv_block_capacity_override = 4096;
-  return config;
-}
 
 // ---------------- rr golden parity ----------------
 //

@@ -12,36 +12,17 @@
 #include "serving/task_executor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve::serving {
 namespace {
-
-flowserve::EngineConfig SmallEngine(flowserve::EngineRole role) {
-  flowserve::EngineConfig config;
-  config.model = model::ModelSpec::Tiny1B();
-  config.parallelism = {1, 1, 1};
-  config.role = role;
-  config.kv_block_capacity_override = 8192;
-  return config;
-}
-
-workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
-                                  TokenId base = 400) {
-  workload::RequestSpec spec;
-  spec.id = id;
-  spec.decode_len = decode;
-  for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 5000));
-  }
-  return spec;
-}
 
 class SchedPolicyTest : public ::testing::Test {
  protected:
   std::unique_ptr<TaskExecutor> MakeTe(TeId id, flowserve::EngineRole role) {
     TeConfig config;
     config.id = id;
-    config.engine = SmallEngine(role);
+    config.engine = SmallEngine(role, 8192);
     return std::make_unique<TaskExecutor>(&sim_, std::move(config));
   }
   sim::Simulator sim_;
@@ -62,7 +43,7 @@ TEST_F(SchedPolicyTest, BenchProducedHeatmapDrivesRouting) {
   je.AddPrefillTe(prefill.get());
   je.AddDecodeTe(decode.get());
   for (int i = 0; i < 4; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 128, 512), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 128, 512, 400, 5000), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   // Short-prefill/long-decode requests would default colocated; the loaded
@@ -91,7 +72,7 @@ TEST_F(SchedPolicyTest, OverloadGuardRedirectsToColocated) {
   // fires and the rest land on the idle colocated TE.
   for (int i = 0; i < 12; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 512,
-                                 static_cast<TokenId>(100 + 613 * i)), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(100 + 613 * i), 5000), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_GT(je.stats().routed_disaggregated, 0);
@@ -116,7 +97,7 @@ TEST_F(SchedPolicyTest, OverloadGuardAlsoProtectsColocatedSide) {
   je.AddDecodeTe(decode.get());
   for (int i = 0; i < 12; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 512,
-                                 static_cast<TokenId>(100 + 419 * i)), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(100 + 419 * i), 5000), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_GT(je.stats().routed_colocated, 0);
@@ -134,16 +115,16 @@ TEST_F(SchedPolicyTest, LoadBalanceSlackGatesLocality) {
     JobExecutor je(&sim, config, PdHeatmap::Default(), MakeOraclePredictor());
     TeConfig tec1;
     tec1.id = 1;
-    tec1.engine = SmallEngine(flowserve::EngineRole::kColocated);
+    tec1.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
     TaskExecutor te1(&sim, std::move(tec1));
     TeConfig tec2;
     tec2.id = 2;
-    tec2.engine = SmallEngine(flowserve::EngineRole::kColocated);
+    tec2.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
     TaskExecutor te2(&sim, std::move(tec2));
     je.AddColocatedTe(&te1);
     je.AddColocatedTe(&te2);
     for (int i = 0; i < 6; ++i) {
-      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 64, 777), {nullptr, nullptr, nullptr});
+      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 64, 777, 5000), {nullptr, nullptr, nullptr});
     }
     sim.Run();
     if (slack > 0) {
@@ -164,7 +145,7 @@ TEST_F(SchedPolicyTest, PromptTreeCapIsEnforced) {
   je.AddColocatedTe(te.get());
   for (int i = 0; i < 64; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 256, 2,
-                                 static_cast<TokenId>(1000 + 293 * i)), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(1000 + 293 * i), 5000), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   // All requests served despite aggressive tree trimming.
@@ -182,20 +163,20 @@ TEST_F(SchedPolicyTest, PredictorErrorsChangeRouting) {
                    std::make_unique<ConstantPredictor>(predicted));
     TeConfig tec1;
     tec1.id = 1;
-    tec1.engine = SmallEngine(flowserve::EngineRole::kColocated);
+    tec1.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
     TaskExecutor coloc(&sim, std::move(tec1));
     TeConfig tec2;
     tec2.id = 2;
-    tec2.engine = SmallEngine(flowserve::EngineRole::kPrefillOnly);
+    tec2.engine = SmallEngine(flowserve::EngineRole::kPrefillOnly, 8192);
     TaskExecutor prefill(&sim, std::move(tec2));
     TeConfig tec3;
     tec3.id = 3;
-    tec3.engine = SmallEngine(flowserve::EngineRole::kDecodeOnly);
+    tec3.engine = SmallEngine(flowserve::EngineRole::kDecodeOnly, 8192);
     TaskExecutor decode(&sim, std::move(tec3));
     je.AddColocatedTe(&coloc);
     je.AddPrefillTe(&prefill);
     je.AddDecodeTe(&decode);
-    je.HandleRequest(MakeRequest(1, 512, 64), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(1, 512, 64, 400, 5000), {nullptr, nullptr, nullptr});
     sim.Run();
     if (predicted > 512) {
       EXPECT_EQ(je.stats().routed_colocated, 1);

@@ -15,6 +15,7 @@
 #include "serving/task_executor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve::serving {
 namespace {
@@ -122,26 +123,6 @@ TEST(PredictorTest, ConstantPredictor) {
 
 // ---------------- TaskExecutor + JobExecutor ----------------
 
-flowserve::EngineConfig SmallEngine(flowserve::EngineRole role) {
-  flowserve::EngineConfig config;
-  config.model = model::ModelSpec::Tiny1B();
-  config.parallelism = {1, 1, 1};
-  config.role = role;
-  config.kv_block_capacity_override = 8192;
-  return config;
-}
-
-RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
-                        TokenId base = 500) {
-  RequestSpec spec;
-  spec.id = id;
-  spec.decode_len = decode;
-  for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 9001));
-  }
-  return spec;
-}
-
 class ServingTest : public ::testing::Test {
  protected:
   ServingTest() {}
@@ -156,7 +137,7 @@ class ServingTest : public ::testing::Test {
   std::unique_ptr<TaskExecutor> MakeTe(TeId id, flowserve::EngineRole role) {
     TeConfig config;
     config.id = id;
-    config.engine = SmallEngine(role);
+    config.engine = SmallEngine(role, 8192);
     return std::make_unique<TaskExecutor>(&sim_, std::move(config));
   }
 
@@ -166,7 +147,7 @@ class ServingTest : public ::testing::Test {
 TEST_F(ServingTest, UnifiedTaskCompletesThroughTe) {
   auto te = MakeTe(1, flowserve::EngineRole::kColocated);
   bool done = false;
-  te->SubmitUnified(MakeRequest(1, 256, 16),
+  te->SubmitUnified(MakeRequest(1, 256, 16, 500, 9001),
                     {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
@@ -178,7 +159,7 @@ TEST_F(ServingTest, PdPairHandoffCompletesRequest) {
   TimeNs first = 0;
   TimeNs finish = 0;
   prefill->SubmitPrefill(
-      MakeRequest(1, 512, 64), decode.get(),
+      MakeRequest(1, 512, 64, 500, 9001), decode.get(),
       {[&](const flowserve::Sequence& seq) { first = seq.first_token_time; },
        [&](const flowserve::Sequence& seq) { finish = seq.finish_time; }, nullptr});
   sim_.Run();
@@ -197,7 +178,7 @@ TEST_F(ServingTest, PdPairHandoffCompletesRequest) {
 TEST_F(ServingTest, PdHandoffPreservesPriorityAndContextId) {
   auto prefill = MakeTe(1, flowserve::EngineRole::kPrefillOnly);
   auto decode = MakeTe(2, flowserve::EngineRole::kDecodeOnly);
-  auto spec = MakeRequest(1, 512, 16);
+  auto spec = MakeRequest(1, 512, 16, 500, 9001);
   spec.priority = 2;
   spec.context_id = "ctx-parity";
   int priority_seen = -1;
@@ -221,7 +202,7 @@ TEST_F(ServingTest, JobAndTaskRecordsForColocatedRoute) {
   auto te = MakeTe(1, flowserve::EngineRole::kColocated);
   je.AddColocatedTe(te.get());
   bool done = false;
-  je.HandleRequest(MakeRequest(1, 256, 8), {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
+  je.HandleRequest(MakeRequest(1, 256, 8, 500, 9001), {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
   ASSERT_EQ(je.jobs().size(), 1u);
@@ -239,7 +220,7 @@ TEST_F(ServingTest, DisaggregatedJobCreatesTwoTasks) {
   je.AddDecodeTe(decode.get());
   bool done = false;
   // Long prefill, short decode: the heatmap must route this to the PD pair.
-  je.HandleRequest(MakeRequest(1, 4096, 32), {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
+  je.HandleRequest(MakeRequest(1, 4096, 32, 500, 9001), {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(je.stats().routed_disaggregated, 1);
@@ -259,8 +240,8 @@ TEST_F(ServingTest, PdAwareRoutesByShape) {
   je.AddPrefillTe(prefill.get());
   je.AddDecodeTe(decode.get());
   // Long prefill / short decode -> disaggregated; the opposite -> colocated.
-  je.HandleRequest(MakeRequest(1, 8192, 64), {nullptr, nullptr, nullptr});
-  je.HandleRequest(MakeRequest(2, 256, 512), {nullptr, nullptr, nullptr});
+  je.HandleRequest(MakeRequest(1, 8192, 64, 500, 9001), {nullptr, nullptr, nullptr});
+  je.HandleRequest(MakeRequest(2, 256, 512, 500, 9001), {nullptr, nullptr, nullptr});
   sim_.Run();
   EXPECT_EQ(je.stats().routed_disaggregated, 1);
   EXPECT_EQ(je.stats().routed_colocated, 1);
@@ -273,7 +254,7 @@ TEST_F(ServingTest, RoundRobinAlternatesSlots) {
   je.AddColocatedTe(te1.get());
   je.AddColocatedTe(te2.get());
   for (int i = 0; i < 6; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 4), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 4, 500, 9001), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_EQ(te1->engine().stats().submitted, 3);
@@ -290,8 +271,8 @@ TEST_F(ServingTest, LocalityAwareRoutesSharedPrefixToSameTe) {
   // members can reuse the KV the earlier ones preserved.
   for (int i = 0; i < 4; ++i) {
     sim_.ScheduleAt(SToNs(static_cast<double>(i) * 2.0), [&je, i] {
-      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(10 + i), 512, 2, 1000), {nullptr, nullptr, nullptr});
-      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(20 + i), 512, 2, 25000), {nullptr, nullptr, nullptr});
+      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(10 + i), 512, 2, 1000, 9001), {nullptr, nullptr, nullptr});
+      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(20 + i), 512, 2, 25000, 9001), {nullptr, nullptr, nullptr});
     });
   }
   sim_.Run();
@@ -315,7 +296,7 @@ TEST_F(ServingTest, LoadAwareKicksInWhenUnbalanced) {
   // Same prefix every time: pure locality would pile everything on one TE,
   // but load-aware spreads once the queue gap exceeds the slack.
   for (int i = 0; i < 8; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 2048, 64, 777), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 2048, 64, 777, 9001), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_GT(je.stats().load_decisions, 0);
@@ -331,7 +312,7 @@ TEST_F(ServingTest, RemoveTeStopsRouting) {
   je.AddColocatedTe(te2.get());
   je.RemoveTe(1);
   for (int i = 0; i < 4; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 2), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 2, 500, 9001), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_EQ(te1->engine().stats().submitted, 0);
@@ -345,7 +326,7 @@ TEST_F(ServingTest, NonReadyTesAreSkipped) {
   te1->set_state(TeState::kLoading);
   je.AddColocatedTe(te1.get());
   je.AddColocatedTe(te2.get());
-  je.HandleRequest(MakeRequest(1, 64, 2), {nullptr, nullptr, nullptr});
+  je.HandleRequest(MakeRequest(1, 64, 2, 500, 9001), {nullptr, nullptr, nullptr});
   sim_.Run();
   EXPECT_EQ(te1->engine().stats().submitted, 0);
   EXPECT_EQ(te2->engine().stats().submitted, 1);
@@ -377,13 +358,13 @@ class ScalingTest : public ::testing::Test {
 
 TEST_F(ScalingTest, CreateReadyTeAllocatesNpus) {
   auto manager = MakeManager({});
-  auto te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated));
+  auto te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated, 8192));
   ASSERT_TRUE(te.ok());
   EXPECT_TRUE((*te)->ready());
   EXPECT_EQ((*te)->config().npus.size(), 1u);
   // Device accounting wired: engine KV traffic shows up on the NPU.
   bool done = false;
-  (*te)->SubmitUnified(MakeRequest(1, 256, 8),
+  (*te)->SubmitUnified(MakeRequest(1, 256, 8, 500, 9001),
                        {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
@@ -391,7 +372,7 @@ TEST_F(ScalingTest, CreateReadyTeAllocatesNpus) {
 
 TEST_F(ScalingTest, NpuAllocationExhausts) {
   auto manager = MakeManager({});
-  auto cfg = SmallEngine(flowserve::EngineRole::kColocated);
+  auto cfg = SmallEngine(flowserve::EngineRole::kColocated, 8192);
   cfg.parallelism = {8, 1, 1};
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(manager.CreateReadyTe(cfg).ok()) << i;
@@ -417,7 +398,7 @@ TEST_F(ScalingTest, OptimizedPipelineIsMuchFasterThanBaseline) {
       sim.Run();
     }
     ScaleRequest request;
-    request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+    request.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
     ScalingBreakdown breakdown;
     bool done = false;
     EXPECT_TRUE(manager
@@ -448,7 +429,7 @@ TEST_F(ScalingTest, OptimizedPipelineIsMuchFasterThanBaseline) {
 TEST_F(ScalingTest, DramMissStagesThroughSsd) {
   auto manager = MakeManager({});
   ScaleRequest request;
-  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
   ScalingBreakdown breakdown;
   ASSERT_TRUE(manager
                   .ScaleUp(request, [&](TaskExecutor*, const ScalingBreakdown& b) {
@@ -473,10 +454,10 @@ TEST_F(ScalingTest, DramMissStagesThroughSsd) {
 
 TEST_F(ScalingTest, NpuForkSkipsLocalLoad) {
   auto manager = MakeManager({});
-  auto source = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated));
+  auto source = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated, 8192));
   ASSERT_TRUE(source.ok());
   ScaleRequest request;
-  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
   request.fork_source = (*source)->id();
   ScalingBreakdown breakdown;
   ASSERT_TRUE(manager
@@ -493,10 +474,10 @@ TEST_F(ScalingTest, ScaleUpManyForksInParallel) {
   auto manager = MakeManager({});
   manager.ReservePrewarmedPods(64);
   manager.ReservePrewarmedTes(64);
-  auto source = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated));
+  auto source = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated, 8192));
   ASSERT_TRUE(source.ok());
   ScaleRequest request;
-  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
   request.fork_source = (*source)->id();
   std::vector<TaskExecutor*> created;
   DurationNs elapsed = 0;
@@ -520,7 +501,7 @@ TEST_F(ScalingTest, ScaleUpManyForksInParallel) {
 TEST_F(ScalingTest, ScaleUpManyRequiresSource) {
   auto manager = MakeManager({});
   ScaleRequest request;
-  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
   EXPECT_FALSE(manager.ScaleUpMany(request, 4, nullptr).ok());
 }
 
@@ -544,7 +525,7 @@ TEST_F(ScalingTest, AutoscalerAddsTesUnderLoad) {
   JeConfig je_config;
   je_config.policy = SchedulingPolicy::kLoadOnly;
   JobExecutor je(&sim_, je_config, PdHeatmap::Default(), MakeOraclePredictor());
-  auto first = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated));
+  auto first = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated, 8192));
   ASSERT_TRUE(first.ok());
   je.AddColocatedTe(*first);
 
@@ -554,13 +535,13 @@ TEST_F(ScalingTest, AutoscalerAddsTesUnderLoad) {
   as_config.scale_down_queue_depth = -1;  // growth only: assert on end state
   as_config.max_tes = 4;
   ScaleRequest request;
-  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated, 8192);
   manager.StartAutoscaler(&je, as_config, request);
 
   // Slam the system with enough work to trip the threshold.
   for (int i = 0; i < 64; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 2048, 128,
-                                 static_cast<TokenId>(100 + 37 * i)), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(100 + 37 * i), 9001), {nullptr, nullptr, nullptr});
   }
   sim_.RunUntil(SToNs(120));
   manager.StopAutoscaler();

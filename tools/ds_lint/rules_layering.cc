@@ -3,7 +3,7 @@
 // the mechanism/policy layering the tree has converged on:
 //
 //   common ← obs ← sim ← hw ← {model, workload, rtc} ← distflow ← flowserve
-//                                                   ↖ ctrl ← serving ← faults
+//                                                   ↖ ctrl ← serving ← {faults, fleet}
 //
 // (See DESIGN.md for the drawn-out DAG.) Anything not in the table — a new
 // module, a new edge, or an edge that closes a cycle — fails the lint until
@@ -43,6 +43,11 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
            {"common", "obs", "sim", "hw", "model", "workload", "rtc",
             "distflow", "flowserve", "ctrl"}},
           {"faults",
+           {"common", "obs", "sim", "hw", "model", "workload", "rtc",
+            "distflow", "flowserve", "ctrl", "serving"}},
+          // The composition root: wires the serving stack; nothing in src/
+          // includes it (fault injection stays caller-owned).
+          {"fleet",
            {"common", "obs", "sim", "hw", "model", "workload", "rtc",
             "distflow", "flowserve", "ctrl", "serving"}},
       };
