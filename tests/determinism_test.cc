@@ -14,16 +14,10 @@
 #include <vector>
 
 #include "common/time_units.h"
-#include "ctrl/control_log.h"
-#include "distflow/distflow.h"
 #include "faults/fault_injector.h"
-#include "hw/cluster.h"
+#include "fleet/fleet.h"
 #include "model/model_spec.h"
 #include "obs/metrics.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "sim/simulator.h"
 #include "workload/tracegen.h"
 
 namespace deepserve {
@@ -83,46 +77,33 @@ enum class ClusterMode { kHomogeneous, kAllGen2Mix, kMixedGen };
 // replay pin across leader outages and log-replay takeovers.
 Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
                  ClusterMode mode = ClusterMode::kHomogeneous) {
-  sim::Simulator sim;
   obs::MetricsRegistry metrics;
-  sim.SetMetrics(&metrics);
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 3;
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.cluster.num_machines = 3;
   if (mode == ClusterMode::kAllGen2Mix) {
-    cluster_config.machine_specs = hw::ParseNpuMix("gen2:3").value();
+    fleet_spec.cluster.machine_specs = hw::ParseNpuMix("gen2:3").value();
   } else if (mode == ClusterMode::kMixedGen) {
-    cluster_config.machine_specs = hw::ParseNpuMix("gen1:2,gen2:1").value();
+    fleet_spec.cluster.machine_specs = hw::ParseNpuMix("gen1:2,gen2:1").value();
   }
   const bool mixed = mode == ClusterMode::kMixedGen;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  ctrl::CtrlConfig ctrl_config;
   if (ctrl_faults) {
-    ctrl_config.replicas = 3;
-    ctrl_config.quorum = 2;
-    ctrl_config.replication_latency = MsToNs(1);
-    ctrl_config.lease_duration = MsToNs(300);
+    fleet_spec.ctrl.replicas = 3;
+    fleet_spec.ctrl.quorum = 2;
+    fleet_spec.ctrl.replication_latency = MsToNs(1);
+    fleet_spec.ctrl.lease_duration = MsToNs(300);
   }
-  ctrl::ControlLog ctrl_log(&sim, ctrl_config);
-  serving::ClusterManager manager(&sim, &cluster, &transfer, {}, {},
-                                  ctrl_faults ? &ctrl_log : nullptr);
+  fleet_spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  fleet_spec.je.cost_aware = mixed;
+  fleet::Fleet fleet(fleet_spec, {nullptr, &metrics});
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
+  serving::JobExecutor& je = fleet.je();
   manager.ReservePrewarmedPods(6);
   manager.ReservePrewarmedTes(6);
-  for (int m = 0; m < cluster.num_machines(); ++m) {
+  for (int m = 0; m < fleet.cluster().num_machines(); ++m) {
     manager.PreloadModelToDram(m, model::ModelSpec::Tiny1B());
   }
   sim.Run();
-
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  je_config.cost_aware = mixed;
-  serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-  if (ctrl_faults) {
-    je.AttachControl(&ctrl_log, &manager);  // also registers the TE failure handler
-  } else {
-    manager.AddFailureHandler([&](serving::TeId id) { je.OnTeFailure(id); });
-  }
 
   // One colocated TE (the autoscaler's group) plus a disaggregated
   // prefill/decode pair sharing the dispatch layer.
@@ -131,18 +112,9 @@ Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
     config.npu_spec_from_placement = mixed;  // TE cost models track their silicon
     return config;
   };
-  std::vector<distflow::EndpointId> endpoints;
-  auto* colocated = manager.CreateReadyTe(engine_for(flowserve::EngineRole::kColocated)).value();
-  je.AddColocatedTe(colocated);
-  endpoints.push_back(colocated->id());
-  auto* prefill = manager.CreateReadyTe(engine_for(flowserve::EngineRole::kPrefillOnly)).value();
-  je.AddPrefillTe(prefill);
-  endpoints.push_back(prefill->id());
-  auto* decode = manager.CreateReadyTe(engine_for(flowserve::EngineRole::kDecodeOnly)).value();
-  je.AddDecodeTe(decode);
-  endpoints.push_back(decode->id());
-  DS_CHECK_OK(transfer.LinkCluster(endpoints, nullptr));
-  sim.Run();
+  fleet.AddTes(engine_for(flowserve::EngineRole::kColocated), /*colocated=*/1, /*prefill=*/1,
+               /*decode=*/1);
+  fleet.Link();
 
   serving::AutoscalerConfig as;
   as.policy = "predictive";
@@ -191,22 +163,22 @@ Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
   };
   for (auto& spec : trace) {
     spec.arrival += t0;
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(spec, {nullptr,
-                              [&, id = spec.id](const flowserve::Sequence& seq) {
-                                ++out.completed;
-                                if (++terminations[id] > 1) ++out.double_terminated;
-                                mix(id);
-                                mix(static_cast<uint64_t>(seq.first_token_time));
-                                mix(static_cast<uint64_t>(seq.finish_time));
-                              },
-                              [&, id = spec.id](const Status&) {
-                                ++out.errored;
-                                if (++terminations[id] > 1) ++out.double_terminated;
-                                mix(id * 2 + 1);
-                              }});
-    });
   }
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
+                          const flowserve::Sequence& seq) {
+    ++out.completed;
+    if (++terminations[spec.id] > 1) ++out.double_terminated;
+    mix(spec.id);
+    mix(static_cast<uint64_t>(seq.first_token_time));
+    mix(static_cast<uint64_t>(seq.finish_time));
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++out.errored;
+    if (++terminations[spec.id] > 1) ++out.double_terminated;
+    mix(spec.id * 2 + 1);
+  };
+  fleet.Submit(trace, hooks);
   sim.RunUntil(t0 + SToNs(40));
   manager.StopAutoscaler();
   sim.Run();

@@ -3,17 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "sim/simulator.h"
+#include "fleet/fleet.h"
 #include "workload/metrics.h"
 #include "workload/tracegen.h"
 #include "test_util.h"
@@ -23,87 +17,29 @@ namespace {
 
 using serving::SchedulingPolicy;
 
-// A whole-platform fixture: cluster + DistFlow + manager + JE.
+// A whole-platform fixture: a Fleet with one JE on a 4-machine cluster.
 class PlatformTest : public ::testing::Test {
  protected:
-  PlatformTest() {
-    hw::ClusterConfig cluster_config;
-    cluster_config.num_machines = 4;
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cluster_config);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(),
-                                                         transfer_.get());
-  }
-
   void MakeJe(SchedulingPolicy policy) {
-    serving::JeConfig config;
-    config.policy = policy;
-    je_ = std::make_unique<serving::JobExecutor>(&sim_, config, serving::PdHeatmap::Default(),
-                                                 serving::MakeOraclePredictor());
+    fleet::FleetSpec spec;
+    spec.je.policy = policy;
+    fleet_ = std::make_unique<fleet::Fleet>(spec);
   }
 
   void BuildFleet(int colocated, int prefill, int decode) {
-    std::vector<distflow::EndpointId> endpoints;
-    auto add = [&](flowserve::EngineRole role) {
-      auto te = manager_->CreateReadyTe(SmallEngine(role, 0)).value();
-      endpoints.push_back(te->id());
-      switch (role) {
-        case flowserve::EngineRole::kColocated:
-          je_->AddColocatedTe(te);
-          break;
-        case flowserve::EngineRole::kPrefillOnly:
-          je_->AddPrefillTe(te);
-          break;
-        case flowserve::EngineRole::kDecodeOnly:
-          je_->AddDecodeTe(te);
-          break;
-      }
-    };
-    for (int i = 0; i < colocated; ++i) {
-      add(flowserve::EngineRole::kColocated);
-    }
-    for (int i = 0; i < prefill; ++i) {
-      add(flowserve::EngineRole::kPrefillOnly);
-    }
-    for (int i = 0; i < decode; ++i) {
-      add(flowserve::EngineRole::kDecodeOnly);
-    }
-    ASSERT_TRUE(transfer_->LinkCluster(endpoints, nullptr).ok());
-    sim_.Run();
+    fleet_->AddTes(SmallEngine(flowserve::EngineRole::kColocated, 0), colocated, prefill,
+                   decode);
+    fleet_->Link();
   }
 
   workload::MetricsCollector Replay(const std::vector<workload::RequestSpec>& trace) {
-    workload::MetricsCollector metrics;
-    auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-    for (const auto& spec : trace) {
-      sim_.ScheduleAt(spec.arrival, [this, &metrics, first_tokens, spec] {
-        je_->HandleRequest(
-            spec, {[first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-              (*first_tokens)[id] = seq.first_token_time;
-            }, [&metrics, first_tokens, spec](const flowserve::Sequence& seq) {
-              workload::RequestRecord record;
-              record.id = spec.id;
-              record.arrival = spec.arrival;
-              auto it = first_tokens->find(spec.id);
-              record.first_token =
-                  it != first_tokens->end() ? it->second : seq.first_token_time;
-              record.completion = seq.finish_time;
-              record.prefill_len = spec.prefill_len();
-              record.decode_len = spec.decode_len;
-              metrics.Record(record);
-            }, nullptr});
-      });
-    }
-    sim_.Run();
-    return metrics;
+    return fleet_->Replay(trace);
   }
 
-  sim::Simulator sim_;
-  std::unique_ptr<hw::Cluster> cluster_;
-  std::unique_ptr<distflow::TransferEngine> transfer_;
-  std::unique_ptr<serving::ClusterManager> manager_;
-  std::unique_ptr<serving::JobExecutor> je_;
+  serving::ClusterManager& manager() { return fleet_->manager(); }
+  serving::JobExecutor& je() { return fleet_->je(); }
+
+  std::unique_ptr<fleet::Fleet> fleet_;
 };
 
 TEST_F(PlatformTest, MixedFleetServesWholeTrace) {
@@ -131,14 +67,14 @@ TEST_F(PlatformTest, JobLedgerConsistentAfterRun) {
                    workload::TraceGenerator::CodeGenTrace(2.0, 20.0, 3))
                    .Generate();
   Replay(trace);
-  EXPECT_EQ(je_->jobs().size(), trace.size());
-  for (const auto& job : je_->jobs()) {
+  EXPECT_EQ(je().jobs().size(), trace.size());
+  for (const auto& job : je().jobs()) {
     EXPECT_EQ(job.state, serving::JobState::kCompleted);
     EXPECT_GE(job.completed, job.created);
     ASSERT_FALSE(job.tasks.empty());
     ASSERT_LE(job.tasks.size(), 2u);
     for (serving::TaskId task_id : job.tasks) {
-      const auto& task = je_->tasks()[task_id - 1];
+      const auto& task = je().tasks()[task_id - 1];
       EXPECT_EQ(task.state, serving::TaskState::kCompleted);
       EXPECT_EQ(task.job, job.id);
       EXPECT_GE(task.completed, task.dispatched);
@@ -152,31 +88,26 @@ TEST_F(PlatformTest, DisaggregatedKvTransferIsTimedThroughDistFlow) {
   auto batch = workload::TraceGenerator::FixedBatch(4, 1024, 32);
   Replay(batch);
   // Every request moved KV prefill -> decode over the fabric.
-  EXPECT_GE(transfer_->stats().transfers, 4);
-  EXPECT_GT(transfer_->stats().bytes_moved, 0u);
+  EXPECT_GE(fleet_->transfer().stats().transfers, 4);
+  EXPECT_GT(fleet_->transfer().stats().bytes_moved, 0u);
 }
 
 TEST_F(PlatformTest, ByRequestTransferSlowerThanByLayer) {
   auto run = [&](flowserve::KvTransferMode mode) {
-    sim::Simulator sim;
-    hw::ClusterConfig cc;
-    cc.num_machines = 2;
-    hw::Cluster cluster(&sim, cc);
-    distflow::TransferEngine transfer(&sim, &cluster, {});
-    serving::ClusterManager manager(&sim, &cluster, &transfer);
+    fleet::FleetSpec spec;
+    spec.cluster.num_machines = 2;
+    fleet::Fleet fleet(spec);
     auto engine_config = SmallEngine(flowserve::EngineRole::kPrefillOnly, 0);
     engine_config.kv_transfer_mode = mode;
-    auto prefill = manager.CreateReadyTe(engine_config).value();
-    engine_config.role = flowserve::EngineRole::kDecodeOnly;
-    auto decode = manager.CreateReadyTe(engine_config).value();
-    EXPECT_TRUE(transfer.LinkCluster({prefill->id(), decode->id()}, nullptr).ok());
-    sim.Run();
+    auto prefill = fleet.AddTe(flowserve::EngineRole::kPrefillOnly, engine_config);
+    auto decode = fleet.AddTe(flowserve::EngineRole::kDecodeOnly, engine_config);
+    fleet.Link();
     TimeNs done = 0;
     auto batch = workload::TraceGenerator::FixedBatch(1, 2048, 64);
     prefill->SubmitPrefill(
         batch[0], decode,
         {nullptr, [&](const flowserve::Sequence& seq) { done = seq.finish_time; }, nullptr});
-    sim.Run();
+    fleet.sim().Run();
     return done;
   };
   TimeNs by_req = run(flowserve::KvTransferMode::kByRequest);
@@ -187,16 +118,16 @@ TEST_F(PlatformTest, ByRequestTransferSlowerThanByLayer) {
 TEST_F(PlatformTest, ScaledUpTeImmediatelyServes) {
   MakeJe(SchedulingPolicy::kLoadOnly);
   BuildFleet(1, 0, 0);
-  manager_->ReservePrewarmedPods(2);
-  manager_->ReservePrewarmedTes(2);
+  manager().ReservePrewarmedPods(2);
+  manager().ReservePrewarmedTes(2);
   serving::ScaleRequest request;
   request.engine = SmallEngine(flowserve::EngineRole::kColocated, 0);
   bool served = false;
-  ASSERT_TRUE(manager_
-                  ->ScaleUp(request,
+  ASSERT_TRUE(manager()
+                  .ScaleUp(request,
                             [&](serving::TaskExecutor* te, const auto&) {
                               ASSERT_NE(te, nullptr);
-                              je_->AddColocatedTe(te);
+                              je().AddColocatedTe(te);
                               auto batch = workload::TraceGenerator::FixedBatch(1, 256, 8);
                               te->SubmitUnified(batch[0],
                                                 {nullptr,
@@ -206,36 +137,30 @@ TEST_F(PlatformTest, ScaledUpTeImmediatelyServes) {
                                                  nullptr});
                             })
                   .ok());
-  sim_.Run();
+  fleet_->sim().Run();
   EXPECT_TRUE(served);
 }
 
 TEST_F(PlatformTest, DeterministicAcrossRuns) {
   auto run_once = [](uint64_t seed) {
-    sim::Simulator sim;
-    hw::ClusterConfig cc;
-    cc.num_machines = 2;
-    hw::Cluster cluster(&sim, cc);
-    distflow::TransferEngine transfer(&sim, &cluster, {});
-    serving::ClusterManager manager(&sim, &cluster, &transfer);
-    serving::JeConfig je_config;
-    je_config.policy = SchedulingPolicy::kCombined;
-    serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
-                            serving::MakeNoisyPredictor(0.9, seed));
-    auto te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated, 0)).value();
-    je.AddColocatedTe(te);
+    fleet::FleetSpec spec;
+    spec.cluster.num_machines = 2;
+    spec.je.policy = SchedulingPolicy::kCombined;
+    spec.predictor_accuracy = 0.9;
+    spec.predictor_seed = seed;
+    fleet::Fleet fleet(spec);
+    fleet.AddTe(flowserve::EngineRole::kColocated,
+                SmallEngine(flowserve::EngineRole::kColocated, 0));
     auto trace = workload::TraceGenerator(
                      workload::TraceGenerator::InternalTrace(2.0, 20.0, seed))
                      .Generate();
     std::vector<TimeNs> completions;
-    for (const auto& spec : trace) {
-      sim.ScheduleAt(spec.arrival, [&, spec] {
-        je.HandleRequest(spec, {nullptr, [&](const flowserve::Sequence& seq) {
-          completions.push_back(seq.finish_time);
-        }, nullptr});
-      });
-    }
-    sim.Run();
+    fleet::ReplayHooks hooks;
+    hooks.on_complete = [&](const workload::RequestSpec&, TimeNs,
+                            const flowserve::Sequence& seq) {
+      completions.push_back(seq.finish_time);
+    };
+    fleet.Replay(trace, hooks);
     return completions;
   };
   auto a = run_once(7);
@@ -251,10 +176,8 @@ TEST_F(PlatformTest, CachePressureWithLocalityStillCompletesEverything) {
   // Tiny KV capacity to force constant eviction/preemption under load.
   auto engine_config = SmallEngine(flowserve::EngineRole::kColocated, 0);
   engine_config.kv_block_capacity_override = 256;
-  auto te1 = manager_->CreateReadyTe(engine_config).value();
-  auto te2 = manager_->CreateReadyTe(engine_config).value();
-  je_->AddColocatedTe(te1);
-  je_->AddColocatedTe(te2);
+  auto te1 = fleet_->AddTe(flowserve::EngineRole::kColocated, engine_config);
+  auto te2 = fleet_->AddTe(flowserve::EngineRole::kColocated, engine_config);
   auto config = workload::TraceGenerator::CodeGenTrace(4.0, 20.0, 9);
   config.prefill = workload::LengthDistribution{768, 0.4, 128, 2048};
   config.decode = workload::LengthDistribution{64, 0.5, 8, 256};
@@ -270,8 +193,7 @@ TEST_F(PlatformTest, PopulatePathExercisedUnderTierPressure) {
   MakeJe(SchedulingPolicy::kLocalityOnly);
   auto engine_config = SmallEngine(flowserve::EngineRole::kColocated, 0);
   engine_config.kv_block_capacity_override = 512;
-  auto te = manager_->CreateReadyTe(engine_config).value();
-  je_->AddColocatedTe(te);
+  auto te = fleet_->AddTe(flowserve::EngineRole::kColocated, engine_config);
   // A repeated long prefix interleaved with cache-thrashing filler: the
   // prefix gets demoted to DRAM and later populated back.
   std::vector<workload::RequestSpec> trace;
