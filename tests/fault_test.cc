@@ -5,20 +5,14 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/time_units.h"
-#include "ctrl/control_log.h"
-#include "distflow/distflow.h"
 #include "faults/fault_injector.h"
+#include "fleet/fleet.h"
 #include "flowserve/engine.h"
-#include "hw/cluster.h"
 #include "hw/link.h"
-#include "serving/cluster_manager.h"
-#include "serving/frontend.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "sim/simulator.h"
 #include "workload/tracegen.h"
 #include "test_util.h"
 
@@ -135,51 +129,30 @@ TEST_F(CancelTest, EngineUsableAfterAbort) {
 
 // ---------------- Platform fault tolerance ----------------
 
+fleet::FleetSpec LoadOnlySpec(const std::string& npu_mix = "") {
+  fleet::FleetSpec spec;
+  if (!npu_mix.empty()) {
+    spec.cluster.machine_specs = hw::ParseNpuMix(npu_mix).value();
+  }
+  spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  return spec;
+}
+
 class FaultToleranceTest : public ::testing::Test {
  protected:
-  FaultToleranceTest() {
-    hw::ClusterConfig cc;
-    cc.num_machines = 4;
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cc);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(),
-                                                         transfer_.get());
-    serving::JeConfig config;
-    config.policy = serving::SchedulingPolicy::kLoadOnly;
-    je_ = std::make_unique<serving::JobExecutor>(&sim_, config, serving::PdHeatmap::Default(),
-                                                 serving::MakeOraclePredictor());
-    manager_->AddFailureHandler([this](serving::TeId id) { je_->OnTeFailure(id); });
-  }
+  FaultToleranceTest() : fleet_(LoadOnlySpec()) {}
 
   serving::TaskExecutor* AddTe(flowserve::EngineRole role) {
-    auto te = manager_->CreateReadyTe(SmallEngine(role)).value();
-    switch (role) {
-      case flowserve::EngineRole::kColocated:
-        je_->AddColocatedTe(te);
-        break;
-      case flowserve::EngineRole::kPrefillOnly:
-        je_->AddPrefillTe(te);
-        break;
-      case flowserve::EngineRole::kDecodeOnly:
-        je_->AddDecodeTe(te);
-        break;
-    }
-    endpoints_.push_back(te->id());
-    return te;
+    return fleet_.AddTe(role, SmallEngine(role));
   }
 
-  void Link() {
-    ASSERT_TRUE(transfer_->LinkCluster(endpoints_, nullptr).ok());
-    sim_.Run();
-  }
+  void Link() { fleet_.Link(); }
 
-  sim::Simulator sim_;
-  std::unique_ptr<hw::Cluster> cluster_;
-  std::unique_ptr<distflow::TransferEngine> transfer_;
-  std::unique_ptr<serving::ClusterManager> manager_;
-  std::unique_ptr<serving::JobExecutor> je_;
-  std::vector<distflow::EndpointId> endpoints_;
+  fleet::Fleet fleet_;
+  sim::Simulator& sim_ = fleet_.sim();
+  hw::Cluster* cluster_ = &fleet_.cluster();
+  serving::ClusterManager* manager_ = &fleet_.manager();
+  serving::JobExecutor* je_ = &fleet_.je();
 };
 
 TEST_F(FaultToleranceTest, KillUnknownTeFails) {
@@ -486,7 +459,7 @@ TEST_F(FaultToleranceTest, RetryBudgetExhaustionDeliversAborted) {
 TEST_F(FaultToleranceTest, SlowNodeMultiplierAppliesAndRestores) {
   auto* te = AddTe(flowserve::EngineRole::kColocated);
   Link();
-  faults::FaultInjector injector(&sim_, manager_.get(), /*seed=*/7);
+  faults::FaultInjector injector(&sim_, manager_, /*seed=*/7);
   faults::FaultEvent event;
   event.time = sim_.Now();
   event.kind = faults::FaultKind::kSlowNode;
@@ -522,7 +495,7 @@ TEST_F(FaultToleranceTest, StragglerStretchesCompletionTime) {
 TEST_F(FaultToleranceTest, LinkDegradeScalesBandwidthAndRestores) {
   AddTe(flowserve::EngineRole::kColocated);
   Link();
-  faults::FaultInjector injector(&sim_, manager_.get(), /*seed=*/7);
+  faults::FaultInjector injector(&sim_, manager_, /*seed=*/7);
   faults::FaultEvent event;
   event.time = sim_.Now();
   event.kind = faults::FaultKind::kLinkDegrade;
@@ -541,7 +514,7 @@ TEST_F(FaultToleranceTest, LinkDegradeScalesBandwidthAndRestores) {
 }
 
 TEST_F(FaultToleranceTest, CrashWithNoLiveTargetIsSkipped) {
-  faults::FaultInjector injector(&sim_, manager_.get(), /*seed=*/7);
+  faults::FaultInjector injector(&sim_, manager_, /*seed=*/7);
   faults::FaultEvent event;
   event.time = sim_.Now();
   event.kind = faults::FaultKind::kNpuCrash;
@@ -555,7 +528,7 @@ TEST_F(FaultToleranceTest, CrashWithNoLiveTargetIsSkipped) {
 TEST_F(FaultToleranceTest, CmCrashEventTakesControlLeaderDown) {
   AddTe(flowserve::EngineRole::kColocated);
   Link();
-  faults::FaultInjector injector(&sim_, manager_.get(), /*seed=*/7);
+  faults::FaultInjector injector(&sim_, manager_, /*seed=*/7);
   faults::FaultEvent event;
   event.time = sim_.Now();
   event.kind = faults::FaultKind::kCmCrash;
@@ -572,7 +545,7 @@ TEST_F(FaultToleranceTest, CmCrashEventTakesControlLeaderDown) {
 TEST_F(FaultToleranceTest, JeCrashEventNeedsARegisteredExecutor) {
   AddTe(flowserve::EngineRole::kColocated);
   Link();
-  faults::FaultInjector injector(&sim_, manager_.get(), /*seed=*/7);
+  faults::FaultInjector injector(&sim_, manager_, /*seed=*/7);
   faults::FaultEvent event;
   event.time = sim_.Now();
   event.kind = faults::FaultKind::kJeCrash;
@@ -581,7 +554,7 @@ TEST_F(FaultToleranceTest, JeCrashEventNeedsARegisteredExecutor) {
   EXPECT_EQ(injector.stats().je_crashes, 0);
   EXPECT_EQ(injector.stats().skipped, 1);
 
-  injector.RegisterJobExecutor(je_.get());
+  injector.RegisterJobExecutor(je_);
   event.time = sim_.Now();
   event.target = 0;
   injector.Schedule(event);
@@ -598,47 +571,23 @@ TEST_F(FaultToleranceTest, JeCrashEventNeedsARegisteredExecutor) {
 // Gen2 — giving the fleet one TE per machine across both generations.
 class HeteroFaultTest : public ::testing::Test {
  protected:
-  HeteroFaultTest() {
-    hw::ClusterConfig cc;
-    cc.num_machines = 4;
-    cc.machine_specs = hw::ParseNpuMix("gen1:2,gen2:2").value();
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cc);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(),
-                                                         transfer_.get());
-    serving::JeConfig config;
-    config.policy = serving::SchedulingPolicy::kLoadOnly;
-    je_ = std::make_unique<serving::JobExecutor>(&sim_, config, serving::PdHeatmap::Default(),
-                                                 serving::MakeOraclePredictor());
-    manager_->AddFailureHandler([this](serving::TeId id) { je_->OnTeFailure(id); });
-  }
+  HeteroFaultTest() : fleet_(LoadOnlySpec("gen1:2,gen2:2")) {}
 
   serving::TaskExecutor* AddColocatedTe() {
     flowserve::EngineConfig config = SmallEngine(flowserve::EngineRole::kColocated);
     config.parallelism = {8, 1, 1};  // one TE per machine
     config.npu_spec_from_placement = true;
-    auto te = manager_->CreateReadyTe(config).value();
-    je_->AddColocatedTe(te);
-    endpoints_.push_back(te->id());
-    return te;
+    return fleet_.AddTe(flowserve::EngineRole::kColocated, config);
   }
 
-  void Link() {
-    ASSERT_TRUE(transfer_->LinkCluster(endpoints_, nullptr).ok());
-    sim_.Run();
-  }
+  void Link() { fleet_.Link(); }
 
-  std::string GenOf(serving::TaskExecutor* te) const {
-    return manager_->TeSpec(te->id()).name;
-  }
+  std::string GenOf(serving::TaskExecutor* te) { return fleet_.manager().TeSpec(te->id()).name; }
 
-  sim::Simulator sim_;
-  std::unique_ptr<hw::Cluster> cluster_;
-  std::unique_ptr<distflow::TransferEngine> transfer_;
-  std::unique_ptr<serving::ClusterManager> manager_;
-  std::unique_ptr<serving::JobExecutor> je_;
-  std::vector<distflow::EndpointId> endpoints_;
+  fleet::Fleet fleet_;
+  sim::Simulator& sim_ = fleet_.sim();
+  serving::ClusterManager* manager_ = &fleet_.manager();
+  serving::JobExecutor* je_ = &fleet_.je();
 };
 
 TEST_F(HeteroFaultTest, CrashOfOnlyGen2TeRedispatchesAcrossGenerations) {
@@ -811,6 +760,46 @@ struct ChaosOutcome {
   }
 };
 
+// The chaos arrivals: a request every 200 ms, each with its own prompt.
+// `slo_deadlines` gives every other request a deadline 1.5 s after arrival:
+// tight enough that some expire under load/crashes, loose enough that some
+// still finish, so both termination paths get exercised.
+std::vector<workload::RequestSpec> ChaosTrace(int requests, bool slo_deadlines) {
+  std::vector<workload::RequestSpec> trace;
+  for (int i = 0; i < requests; ++i) {
+    workload::RequestSpec spec = MakeRequest(static_cast<workload::RequestId>(i + 1), 1024,
+                                             512, static_cast<TokenId>(100 + 37 * i));
+    spec.arrival = MsToNs(200) * i;
+    if (slo_deadlines && i % 2 == 0) {
+      spec.deadline = spec.arrival + MsToNs(1500);
+    }
+    trace.push_back(std::move(spec));
+  }
+  return trace;
+}
+
+// Tallies every termination; a pre-dispatch rejection (reported through the
+// Status alone) counts as the request's one error termination.
+fleet::ReplayHooks OutcomeHooks(ChaosOutcome* outcome, std::vector<int>* terminations) {
+  auto terminate = [outcome, terminations](std::vector<workload::RequestId>* into,
+                                           workload::RequestId id) {
+    into->push_back(id);
+    if (++(*terminations)[id] > 1) {
+      ++outcome->double_terminated;
+    }
+  };
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [outcome, terminate](const workload::RequestSpec& spec, TimeNs,
+                                           const flowserve::Sequence&) {
+    terminate(&outcome->completed, spec.id);
+  };
+  hooks.on_error = [outcome, terminate](const workload::RequestSpec& spec, const Status&) {
+    terminate(&outcome->errored, spec.id);
+  };
+  hooks.on_reject = hooks.on_error;
+  return hooks;
+}
+
 // `slo_deadlines` runs the same chaos plan with the engines on the "slo"
 // scheduling policy and a tight deadline on every other request, so the
 // conservation property additionally covers deadline sheds racing TE crashes.
@@ -823,45 +812,29 @@ struct ChaosOutcome {
 ChaosOutcome RunChaos(uint64_t fault_seed, bool enable_faults, bool slo_deadlines = false,
                       bool autoscale = false, bool ctrl_chaos = false) {
   constexpr int kRequests = 40;
-  sim::Simulator sim;
-  hw::ClusterConfig cc;
-  cc.num_machines = 4;
-  hw::Cluster cluster(&sim, cc);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  ctrl::CtrlConfig ctrl_config;
+  fleet::FleetSpec spec;
   if (ctrl_chaos) {
-    ctrl_config.replicas = 3;
-    ctrl_config.quorum = 2;
-    ctrl_config.replication_latency = MsToNs(1);
-    ctrl_config.lease_duration = MsToNs(300);
+    spec.ctrl.replicas = 3;
+    spec.ctrl.quorum = 2;
+    spec.ctrl.replication_latency = MsToNs(1);
+    spec.ctrl.lease_duration = MsToNs(300);
   }
-  ctrl::ControlLog ctrl_log(&sim, ctrl_config);
-  serving::ClusterManager manager(&sim, &cluster, &transfer, {}, {},
-                                  ctrl_chaos ? &ctrl_log : nullptr);
-  serving::JeConfig config;
-  config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim, config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-  if (ctrl_chaos) {
-    je.AttachControl(&ctrl_log, &manager);  // also registers the TE failure handler
-  }
+  spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  spec.frontend = true;
+  spec.model = "tiny-1b";
+  fleet::Fleet fleet(spec);
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
+  serving::JobExecutor& je = fleet.je();
   flowserve::EngineConfig engine_config = SmallEngine(flowserve::EngineRole::kColocated);
   if (slo_deadlines) {
     engine_config.sched.policy = "slo";
   }
   std::vector<serving::TaskExecutor*> tes;
-  std::vector<distflow::EndpointId> endpoints;
   for (int i = 0; i < 3; ++i) {
-    auto* te = manager.CreateReadyTe(engine_config).value();
-    je.AddColocatedTe(te);
-    tes.push_back(te);
-    endpoints.push_back(te->id());
+    tes.push_back(fleet.AddTe(flowserve::EngineRole::kColocated, engine_config));
   }
-  DS_CHECK_OK(transfer.LinkCluster(endpoints, nullptr));
-  sim.Run();
-  if (!ctrl_chaos) {
-    manager.AddFailureHandler([&](serving::TeId id) { je.OnTeFailure(id); });
-  }
+  fleet.Link();
   serving::ScaleRequest replacement;
   replacement.engine = engine_config;
   manager.SetReplacementPolicy(replacement, [&](serving::TaskExecutor* te) {
@@ -887,9 +860,6 @@ ChaosOutcome RunChaos(uint64_t fault_seed, bool enable_faults, bool slo_deadline
     manager.StartAutoscaler(&je, as, scale_request);
   }
 
-  serving::Frontend frontend(&sim);
-  frontend.RegisterServingJe("tiny-1b", &je);
-
   faults::FaultInjector injector(&sim, &manager, fault_seed);
   if (ctrl_chaos) {
     injector.RegisterJobExecutor(&je);
@@ -909,41 +879,7 @@ ChaosOutcome RunChaos(uint64_t fault_seed, bool enable_faults, bool slo_deadline
 
   ChaosOutcome outcome;
   std::vector<int> terminations(kRequests + 1, 0);
-  for (int i = 0; i < kRequests; ++i) {
-    workload::RequestId id = static_cast<workload::RequestId>(i + 1);
-    sim.ScheduleAt(MsToNs(200) * i, [&, id, i] {
-      serving::ChatRequest request;
-      request.model = "tiny-1b";
-      request.spec = MakeRequest(id, 1024, 512, static_cast<TokenId>(100 + 37 * i));
-      if (slo_deadlines && i % 2 == 0) {
-        // Tight enough that some requests expire under load/crashes, loose
-        // enough that some still finish: both termination paths get exercised.
-        request.deadline = sim.Now() + MsToNs(1500);
-      }
-      serving::ResponseHandler handler;
-      handler.on_complete = [&outcome, &terminations, id](const flowserve::Sequence&) {
-        outcome.completed.push_back(id);
-        if (++terminations[id] > 1) {
-          ++outcome.double_terminated;
-        }
-      };
-      handler.on_error = [&outcome, &terminations, id](const Status&) {
-        outcome.errored.push_back(id);
-        if (++terminations[id] > 1) {
-          ++outcome.double_terminated;
-        }
-      };
-      // A pre-dispatch rejection reports through the Status alone (the
-      // handler never fires): count it as this request's one termination.
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        outcome.errored.push_back(id);
-        if (++terminations[id] > 1) {
-          ++outcome.double_terminated;
-        }
-      }
-    });
-  }
+  fleet.Submit(ChaosTrace(kRequests, slo_deadlines), OutcomeHooks(&outcome, &terminations));
   if (autoscale) {
     sim.RunUntil(SToNs(60));
     manager.StopAutoscaler();
@@ -967,8 +903,8 @@ ChaosOutcome RunChaos(uint64_t fault_seed, bool enable_faults, bool slo_deadline
   }
   outcome.end_time = sim.Now();
   // Frontend accounting stays conservative under churn.
-  EXPECT_EQ(frontend.stats().requests,
-            frontend.stats().chat_dispatched + frontend.stats().rejected_total());
+  const serving::FrontendStats& fe = fleet.frontend()->stats();
+  EXPECT_EQ(fe.requests, fe.chat_dispatched + fe.rejected_total());
   return outcome;
 }
 
@@ -1062,47 +998,28 @@ TEST(ChaosPropertyTest, ControlPlaneCrashesConserveRequestsAndReplay) {
 // cancelled hedge losers release their tokens instead of leaking them.
 ChaosOutcome RunHedgeChaos(uint64_t fault_seed) {
   constexpr int kRequests = 40;
-  sim::Simulator sim;
-  hw::ClusterConfig cc;
-  cc.num_machines = 4;
-  hw::Cluster cluster(&sim, cc);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
-  serving::JeConfig config;
-  config.policy = serving::SchedulingPolicy::kLoadOnly;
-  flowserve::EngineConfig engine_config = SmallEngine(flowserve::EngineRole::kColocated);
-  std::vector<std::unique_ptr<serving::JobExecutor>> jes;
+  fleet::FleetSpec spec;
+  spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  spec.num_jes = 2;
+  spec.frontend = true;
+  spec.model = "tiny-1b";
+  spec.route.policy = "p2c";
+  spec.route.seed = 5;
+  spec.route.hedge_floor = MsToNs(400);
+  spec.route.eject_consecutive_errors = 2;
+  spec.route.retry_budget = true;
+  spec.route.retry_floor = 6;
+  fleet::Fleet fleet(spec);
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
   std::vector<serving::TaskExecutor*> tes;
-  std::vector<distflow::EndpointId> endpoints;
-  for (int i = 0; i < 2; ++i) {
-    jes.push_back(std::make_unique<serving::JobExecutor>(
-        &sim, config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor()));
+  for (size_t i = 0; i < fleet.num_jes(); ++i) {
     for (int t = 0; t < 2; ++t) {
-      auto* te = manager.CreateReadyTe(engine_config).value();
-      jes[i]->AddColocatedTe(te);
-      tes.push_back(te);
-      endpoints.push_back(te->id());
+      tes.push_back(fleet.AddTe(flowserve::EngineRole::kColocated,
+                                SmallEngine(flowserve::EngineRole::kColocated), i));
     }
   }
-  DS_CHECK_OK(transfer.LinkCluster(endpoints, nullptr));
-  sim.Run();
-  manager.AddFailureHandler([&](serving::TeId id) {
-    for (auto& je : jes) {
-      je->OnTeFailure(id);
-    }
-  });
-
-  serving::RouteConfig route;
-  route.policy = "p2c";
-  route.seed = 5;
-  route.hedge_floor = MsToNs(400);
-  route.eject_consecutive_errors = 2;
-  route.retry_budget = true;
-  route.retry_floor = 6;
-  serving::Frontend frontend(&sim, route);
-  for (auto& je : jes) {
-    frontend.RegisterServingJe("tiny-1b", je.get());
-  }
+  fleet.Link();
 
   faults::FaultInjector injector(&sim, &manager, fault_seed);
   faults::FaultPlanConfig plan;
@@ -1113,42 +1030,16 @@ ChaosOutcome RunHedgeChaos(uint64_t fault_seed) {
 
   ChaosOutcome outcome;
   std::vector<int> terminations(kRequests + 1, 0);
-  for (int i = 0; i < kRequests; ++i) {
-    workload::RequestId id = static_cast<workload::RequestId>(i + 1);
-    sim.ScheduleAt(MsToNs(200) * i, [&, id, i] {
-      serving::ChatRequest request;
-      request.model = "tiny-1b";
-      request.spec = MakeRequest(id, 1024, 512, static_cast<TokenId>(100 + 37 * i));
-      serving::ResponseHandler handler;
-      handler.on_complete = [&outcome, &terminations, id](const flowserve::Sequence&) {
-        outcome.completed.push_back(id);
-        if (++terminations[id] > 1) {
-          ++outcome.double_terminated;
-        }
-      };
-      handler.on_error = [&outcome, &terminations, id](const Status&) {
-        outcome.errored.push_back(id);
-        if (++terminations[id] > 1) {
-          ++outcome.double_terminated;
-        }
-      };
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        outcome.errored.push_back(id);
-        if (++terminations[id] > 1) {
-          ++outcome.double_terminated;
-        }
-      }
-    });
-  }
+  fleet.Submit(ChaosTrace(kRequests, /*slo_deadlines=*/false),
+               OutcomeHooks(&outcome, &terminations));
   sim.Run();
+  const serving::FrontendStats& fe = fleet.frontend()->stats();
   outcome.crashes = manager.stats().crashes;
-  outcome.hedges = frontend.stats().hedges_launched;
-  outcome.hedge_cancels = frontend.stats().hedge_cancels;
-  outcome.ejections = frontend.stats().ejections;
+  outcome.hedges = fe.hedges_launched;
+  outcome.hedge_cancels = fe.hedge_cancels;
+  outcome.ejections = fe.ejections;
   outcome.end_time = sim.Now();
-  EXPECT_EQ(frontend.stats().requests,
-            frontend.stats().chat_dispatched + frontend.stats().rejected_total());
+  EXPECT_EQ(fe.requests, fe.chat_dispatched + fe.rejected_total());
   for (serving::TaskExecutor* te : tes) {
     const flowserve::EngineStats& es = te->engine().stats();
     EXPECT_EQ(es.submitted, es.completed + es.cancelled + es.aborted + es.shed)
