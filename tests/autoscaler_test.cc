@@ -12,15 +12,9 @@
 #include <vector>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
+#include "fleet/fleet.h"
 #include "model/model_spec.h"
 #include "serving/autoscaler.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "serving/task_executor.h"
-#include "sim/simulator.h"
 #include "workload/tracegen.h"
 
 namespace deepserve {
@@ -266,30 +260,24 @@ struct GoldenRun {
 };
 
 GoldenRun RunReactiveGolden(uint64_t seed) {
-  sim::Simulator sim;
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 2;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, {});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
+  fleet::FleetSpec fleet_spec;
+  fleet_spec.cluster.num_machines = 2;
+  fleet_spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  fleet::Fleet fleet(fleet_spec);
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
   manager.ReservePrewarmedPods(8);
   manager.ReservePrewarmedTes(8);
-  for (int m = 0; m < cluster.num_machines(); ++m) {
+  for (int m = 0; m < fleet.cluster().num_machines(); ++m) {
     manager.PreloadModelToDram(m, model::ModelSpec::Tiny1B());
   }
   sim.Run();
 
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
   flowserve::EngineConfig engine;
   engine.model = model::ModelSpec::Tiny1B();
-  engine.npu_spec = cluster_config.npu_spec;
+  engine.npu_spec = fleet_spec.cluster.npu_spec;
   engine.parallelism = {1, 1, 1};
-  engine.role = flowserve::EngineRole::kColocated;
-  auto first = manager.CreateReadyTe(engine);
-  je.AddColocatedTe(first.value());
+  fleet.AddTe(flowserve::EngineRole::kColocated, engine);
 
   serving::AutoscalerConfig as;
   as.check_interval = MsToNs(500);
@@ -302,7 +290,7 @@ GoldenRun RunReactiveGolden(uint64_t seed) {
   as.graceful_drain = false;
   serving::ScaleRequest request;
   request.engine = engine;
-  manager.StartAutoscaler(&je, as, request);
+  manager.StartAutoscaler(&fleet.je(), as, request);
 
   auto trace_config = workload::TraceGenerator::InternalTrace(12.0, 30.0, seed);
   trace_config.prefill = workload::LengthDistribution{512, 0.3, 64, 2048};
@@ -319,18 +307,16 @@ GoldenRun RunReactiveGolden(uint64_t seed) {
     hash ^= v;
     hash *= 1099511628211ull;
   };
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(spec, {nullptr,
-                              [&, id = spec.id](const flowserve::Sequence& seq) {
-                                ++out.completed;
-                                mix(id);
-                                mix(static_cast<uint64_t>(seq.first_token_time));
-                                mix(static_cast<uint64_t>(seq.finish_time));
-                              },
-                              [&](const Status&) { ++out.errored; }});
-    });
-  }
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
+                          const flowserve::Sequence& seq) {
+    ++out.completed;
+    mix(spec.id);
+    mix(static_cast<uint64_t>(seq.first_token_time));
+    mix(static_cast<uint64_t>(seq.finish_time));
+  };
+  hooks.on_error = [&](const workload::RequestSpec&, const Status&) { ++out.errored; };
+  fleet.Submit(trace, hooks);
   sim.RunUntil(t0 + SToNs(180));
   manager.StopAutoscaler();
   sim.Run();
@@ -390,32 +376,20 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
 
 class DrainTest : public ::testing::Test {
  protected:
-  DrainTest()
-      : cluster_(&sim_, MakeClusterConfig()),
-        transfer_(&sim_, &cluster_, {}),
-        manager_(&sim_, &cluster_, &transfer_),
-        je_(&sim_, MakeJeConfig(), serving::PdHeatmap::Default(),
-            serving::MakeOraclePredictor()) {
+  DrainTest() : fleet_(MakeSpec()) {
     engine_.model = model::ModelSpec::Tiny1B();
     engine_.parallelism = {1, 1, 1};
     engine_.role = flowserve::EngineRole::kColocated;
     for (int i = 0; i < 2; ++i) {
-      tes_.push_back(manager_.CreateReadyTe(engine_).value());
-      je_.AddColocatedTe(tes_.back());
+      tes_.push_back(fleet_.AddTe(flowserve::EngineRole::kColocated, engine_));
     }
-    manager_.AddFailureHandler([this](serving::TeId id) { je_.OnTeFailure(id); });
   }
 
-  static hw::ClusterConfig MakeClusterConfig() {
-    hw::ClusterConfig config;
-    config.num_machines = 1;
-    return config;
-  }
-
-  static serving::JeConfig MakeJeConfig() {
-    serving::JeConfig config;
-    config.policy = serving::SchedulingPolicy::kLoadOnly;
-    return config;
+  static fleet::FleetSpec MakeSpec() {
+    fleet::FleetSpec spec;
+    spec.cluster.num_machines = 1;
+    spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+    return spec;
   }
 
   // An autoscaler whose reactive down-trigger always holds: it sheds one TE
@@ -441,11 +415,10 @@ class DrainTest : public ::testing::Test {
     }
   }
 
-  sim::Simulator sim_;
-  hw::Cluster cluster_;
-  distflow::TransferEngine transfer_;
-  serving::ClusterManager manager_;
-  serving::JobExecutor je_;
+  fleet::Fleet fleet_;
+  sim::Simulator& sim_ = fleet_.sim();
+  serving::ClusterManager& manager_ = fleet_.manager();
+  serving::JobExecutor& je_ = fleet_.je();
   flowserve::EngineConfig engine_;
   std::vector<serving::TaskExecutor*> tes_;
   int64_t completed_ = 0;
