@@ -7,25 +7,20 @@
 #include <vector>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
+#include "fleet/fleet.h"
 #include "serving/finetune.h"
-#include "sim/simulator.h"
 
 namespace deepserve::serving {
 namespace {
 
 class FineTuneTest : public ::testing::Test {
  protected:
-  FineTuneTest() {
-    hw::ClusterConfig cc;
-    cc.num_machines = 2;  // 16 NPUs
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cc);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<ClusterManager>(&sim_, cluster_.get(), transfer_.get());
-    ft_ = std::make_unique<FineTuneJobExecutor>(&sim_, manager_.get());
+  FineTuneTest() : fleet_(TwoMachines()) {}
+
+  static fleet::FleetSpec TwoMachines() {
+    fleet::FleetSpec spec;
+    spec.cluster.num_machines = 2;  // 16 NPUs
+    return spec;
   }
 
   FineTuneRequest SmallRequest(uint64_t id) {
@@ -37,11 +32,11 @@ class FineTuneTest : public ::testing::Test {
     return request;
   }
 
-  sim::Simulator sim_;
-  std::unique_ptr<hw::Cluster> cluster_;
-  std::unique_ptr<distflow::TransferEngine> transfer_;
-  std::unique_ptr<ClusterManager> manager_;
-  std::unique_ptr<FineTuneJobExecutor> ft_;
+  fleet::Fleet fleet_;
+  sim::Simulator& sim_ = fleet_.sim();
+  ClusterManager* manager_ = &fleet_.manager();
+  std::unique_ptr<FineTuneJobExecutor> ft_ =
+      std::make_unique<FineTuneJobExecutor>(&sim_, manager_);
 };
 
 TEST_F(FineTuneTest, PipelineRunsThreeTasksInOrder) {

@@ -12,12 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "sim/simulator.h"
+#include "fleet/fleet.h"
 #include "workload/tracegen.h"
 
 namespace deepserve {
@@ -40,49 +35,35 @@ struct Work {
 };
 
 Work Replay(double duration_s) {
-  sim::Simulator sim;
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 1;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
-  serving::JobExecutor je(&sim, serving::JeConfig{}, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
+  fleet::FleetSpec spec;
+  spec.cluster.num_machines = 1;
+  fleet::Fleet fleet(spec);
   flowserve::EngineConfig engine;
   engine.model = model::ModelSpec::Tiny1B();
   engine.parallelism = {1, 1, 1};
-  engine.role = flowserve::EngineRole::kColocated;
   // A small KV budget: the cache fills within the first minute and then
   // swaps and evicts for the rest of the run.
   engine.kv_block_capacity_override = 2048;
-  std::vector<distflow::EndpointId> endpoints;
-  for (int i = 0; i < kTes; ++i) {
-    serving::TaskExecutor* te = manager.CreateReadyTe(engine).value();
-    je.AddColocatedTe(te);
-    endpoints.push_back(te->id());
-  }
-  EXPECT_TRUE(transfer.LinkCluster(endpoints, nullptr).ok());
-  sim.Run();
+  fleet.AddTes(engine, kTes, /*prefill=*/0, /*decode=*/0);
+  fleet.Link();
 
   Work work;
   std::vector<workload::RequestSpec> trace =
       workload::TraceGenerator(workload::TraceGenerator::InternalTrace(kRps, duration_s, 5))
           .Generate();
   work.requests = trace.size();
-  for (const workload::RequestSpec& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&je, &work, spec] {
-      je.HandleRequest(spec, {nullptr, [&work](const flowserve::Sequence&) { ++work.completed; },
-                              nullptr});
-    });
-  }
-  sim.Run();
-  for (const auto& te : manager.tes()) {
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&work](const workload::RequestSpec&, TimeNs, const flowserve::Sequence&) {
+    ++work.completed;
+  };
+  fleet.Replay(trace, hooks);
+  for (const auto& te : fleet.manager().tes()) {
     const rtc::RtcStats& stats = te->engine().rtc().stats();
     work.rtc_examined += stats.lru_leaves_examined;
     work.swapped_out_blocks += stats.swapped_out_blocks;
     work.discarded_blocks += stats.discarded_blocks;
   }
-  work.je_examined = je.stats().tree_leaves_examined;
+  work.je_examined = fleet.je().stats().tree_leaves_examined;
   return work;
 }
 
