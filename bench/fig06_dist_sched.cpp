@@ -26,8 +26,9 @@ struct PolicyCase {
 void RunCase(const PolicyCase& c, double rps) {
   fleet::FleetSpec fleet_spec = bench::TestbedSpec(/*num_machines=*/4, c.policy);
   if (c.predictor_accuracy >= 0) {
-    fleet_spec.predictor_accuracy = c.predictor_accuracy;
-    fleet_spec.predictor_seed = 1234;
+    fleet_spec.predictor = [&c] {
+      return serving::MakeNoisyPredictor(c.predictor_accuracy, 1234);
+    };
   }
   fleet::Fleet testbed(fleet_spec, bench::ActiveObs());
   // 2 colocated TEs + one 1P1D pair.

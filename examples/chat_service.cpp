@@ -15,8 +15,7 @@ int main() {
   fleet::FleetSpec spec;
   spec.cluster.num_machines = 4;
   spec.je.policy = serving::SchedulingPolicy::kCombined;
-  spec.predictor_accuracy = 0.9;
-  spec.predictor_seed = 42;
+  spec.predictor = [] { return serving::MakeNoisyPredictor(0.9, 42); };
   fleet::Fleet fleet(spec);
   serving::JobExecutor& je = fleet.je();
 

@@ -221,8 +221,11 @@ int main(int argc, char** argv) {
   fleet_spec.je.policy = *policy;
   fleet_spec.je.cost_aware = !flags.npu_mix.empty() && !flags.hetero_blind;
   fleet_spec.num_jes = flags.je_replicas;
-  fleet_spec.predictor_accuracy = flags.predictor_accuracy;
-  fleet_spec.predictor_seed = flags.seed;
+  if (flags.predictor_accuracy < 1.0) {
+    fleet_spec.predictor = [&flags] {
+      return serving::MakeNoisyPredictor(flags.predictor_accuracy, flags.seed);
+    };
+  }
   fleet_spec.frontend = true;
   fleet_spec.model = flags.model;
   fleet_spec.route = flags.route.ToConfig(flags.seed);

@@ -39,6 +39,7 @@
 #include "serving/frontend.h"
 #include "serving/heatmap.h"
 #include "serving/job_executor.h"
+#include "serving/predictor.h"
 #include "serving/route_policy.h"
 #include "sim/simulator.h"
 #include "workload/metrics.h"
@@ -54,10 +55,9 @@ struct FleetSpec {
   serving::JeConfig je;  // every JE runs this config
   int num_jes = 1;
   serving::PdHeatmap heatmap = serving::PdHeatmap::Default();
-  // Each JE's decode-length predictor: the oracle at accuracy >= 1, else a
-  // NoisyPredictor(accuracy, predictor_seed).
-  double predictor_accuracy = 1.0;
-  uint64_t predictor_seed = 0;
+  // Builds each JE's decode-length predictor.
+  std::function<std::unique_ptr<serving::DecodeLengthPredictor>()> predictor =
+      serving::MakeOraclePredictor;
   // A Frontend over every JE, registered for `model` and routed by `route`.
   bool frontend = false;
   std::string model = "yi-34b";

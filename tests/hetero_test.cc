@@ -13,69 +13,26 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "distflow/distflow.h"
-#include "hw/cluster.h"
+#include "fleet/fleet.h"
 #include "hw/npu.h"
 #include "model/cost_model.h"
 #include "model/model_spec.h"
-#include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
-#include "serving/task_executor.h"
-#include "sim/simulator.h"
 #include "workload/tracegen.h"
 #include "test_util.h"
 
 namespace deepserve {
 namespace {
 
-// A self-contained mixed-generation control plane over the given --npu-mix
-// string, with one JE wired for TE-failure re-dispatch.
-class HeteroBed {
- public:
-  explicit HeteroBed(const std::string& mix, bool cost_aware_je = false,
-                     std::unique_ptr<serving::DecodeLengthPredictor> predictor =
-                         serving::MakeOraclePredictor()) {
-    hw::ClusterConfig config;
-    config.machine_specs = hw::ParseNpuMix(mix).value();
-    config.num_machines = static_cast<int>(config.machine_specs.size());
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, config);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(),
-                                                         transfer_.get());
-    serving::JeConfig je_config;
-    je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-    je_config.cost_aware = cost_aware_je;
-    je_ = std::make_unique<serving::JobExecutor>(&sim_, je_config, serving::PdHeatmap::Default(),
-                                                 std::move(predictor));
-    manager_->AddFailureHandler([this](serving::TeId id) { je_->OnTeFailure(id); });
-  }
-
-  serving::TaskExecutor* AddColocatedTe(const flowserve::EngineConfig& config) {
-    auto te = manager_->CreateReadyTe(config).value();
-    je_->AddColocatedTe(te);
-    endpoints_.push_back(te->id());
-    return te;
-  }
-
-  void Link() {
-    ASSERT_TRUE(transfer_->LinkCluster(endpoints_, nullptr).ok());
-    sim_.Run();
-  }
-
-  sim::Simulator& sim() { return sim_; }
-  serving::ClusterManager& manager() { return *manager_; }
-  serving::JobExecutor& je() { return *je_; }
-
- private:
-  sim::Simulator sim_;
-  std::unique_ptr<hw::Cluster> cluster_;
-  std::unique_ptr<distflow::TransferEngine> transfer_;
-  std::unique_ptr<serving::ClusterManager> manager_;
-  std::unique_ptr<serving::JobExecutor> je_;
-  std::vector<distflow::EndpointId> endpoints_;
-};
+// A mixed-generation fleet over the given --npu-mix string with one
+// load-only JE.
+fleet::FleetSpec HeteroSpec(const std::string& mix, bool cost_aware_je = false) {
+  fleet::FleetSpec spec;
+  spec.cluster.machine_specs = hw::ParseNpuMix(mix).value();
+  spec.cluster.num_machines = static_cast<int>(spec.cluster.machine_specs.size());
+  spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  spec.je.cost_aware = cost_aware_je;
+  return spec;
+}
 
 flowserve::EngineConfig EngineFor(const model::ModelSpec& model, int tp) {
   flowserve::EngineConfig config;
@@ -89,7 +46,7 @@ flowserve::EngineConfig EngineFor(const model::ModelSpec& model, int tp) {
 // ---------------- ClusterManager placement ----------------
 
 TEST(HeteroPlacementTest, PreviewPicksCheapestFittingGeneration) {
-  HeteroBed bed("gen2:2,gen1:2");
+  fleet::Fleet bed(HeteroSpec("gen2:2,gen1:2"));
   // Yi-34B TP4 fits both generations; Gen1's $/hr makes it the better
   // tokens-per-second-per-dollar even at half the bandwidth.
   serving::GenerationChoice choice =
@@ -100,7 +57,7 @@ TEST(HeteroPlacementTest, PreviewPicksCheapestFittingGeneration) {
 }
 
 TEST(HeteroPlacementTest, PreviewSkipsGenerationWhoseHbmCannotFit) {
-  HeteroBed bed("gen1:2,gen2:2");
+  fleet::Fleet bed(HeteroSpec("gen1:2,gen2:2"));
   // Llama3-70B TP4 needs ~35 GB of weights per NPU: over Gen1's 32 GB HBM,
   // comfortably inside Gen2's 64 GB.
   serving::GenerationChoice choice =
@@ -110,7 +67,7 @@ TEST(HeteroPlacementTest, PreviewSkipsGenerationWhoseHbmCannotFit) {
 }
 
 TEST(HeteroPlacementTest, PreviewReportsInfeasibleWhenNothingFits) {
-  HeteroBed bed("gen1:1,gen2:1");
+  fleet::Fleet bed(HeteroSpec("gen1:1,gen2:1"));
   // Qwen2-72B TP1 wants ~144 GB on one NPU — no generation holds it.
   serving::GenerationChoice choice =
       bed.manager().PreviewPlacement(EngineFor(model::ModelSpec::Qwen2_72B(), 1));
@@ -118,7 +75,7 @@ TEST(HeteroPlacementTest, PreviewReportsInfeasibleWhenNothingFits) {
 }
 
 TEST(HeteroPlacementTest, PreviewOnHomogeneousClusterNamesInstalledGeneration) {
-  HeteroBed bed("gen2:2");
+  fleet::Fleet bed(HeteroSpec("gen2:2"));
   serving::GenerationChoice choice =
       bed.manager().PreviewPlacement(EngineFor(model::ModelSpec::Yi34B(), 4));
   EXPECT_TRUE(choice.feasible);
@@ -126,13 +83,13 @@ TEST(HeteroPlacementTest, PreviewOnHomogeneousClusterNamesInstalledGeneration) {
 }
 
 TEST(HeteroPlacementTest, AllocationOverflowsGracefullyToNextGeneration) {
-  HeteroBed bed("gen2:1,gen1:1");
+  fleet::Fleet bed(HeteroSpec("gen2:1,gen1:1"));
   flowserve::EngineConfig engine = EngineFor(model::ModelSpec::Yi34B(), 4);
   // The single Gen1 machine holds two TP4 TEs; the third must fall through
   // to Gen2 rather than fail.
-  auto* first = bed.AddColocatedTe(engine);
-  auto* second = bed.AddColocatedTe(engine);
-  auto* third = bed.AddColocatedTe(engine);
+  auto* first = bed.AddTe(flowserve::EngineRole::kColocated, engine);
+  auto* second = bed.AddTe(flowserve::EngineRole::kColocated, engine);
+  auto* third = bed.AddTe(flowserve::EngineRole::kColocated, engine);
   EXPECT_EQ(bed.manager().TeSpec(first->id()).name, hw::NpuSpec::Gen1().name);
   EXPECT_EQ(bed.manager().TeSpec(second->id()).name, hw::NpuSpec::Gen1().name);
   EXPECT_EQ(bed.manager().TeSpec(third->id()).name, hw::NpuSpec::Gen2().name);
@@ -145,11 +102,12 @@ TEST(HeteroPlacementTest, AllocationOverflowsGracefullyToNextGeneration) {
 }
 
 TEST(HeteroPlacementTest, BlindPlacementFirstFitsTheExpensiveGeneration) {
-  HeteroBed bed("gen2:2,gen1:2");
+  fleet::Fleet bed(HeteroSpec("gen2:2,gen1:2"));
   serving::PlacementConfig placement;
   placement.hetero_aware = false;
   bed.manager().SetPlacement(placement);
-  auto* te = bed.AddColocatedTe(EngineFor(model::ModelSpec::Yi34B(), 4));
+  auto* te =
+      bed.AddTe(flowserve::EngineRole::kColocated, EngineFor(model::ModelSpec::Yi34B(), 4));
   // Generation-blind first-fit starts at machine 0 — the Gen2 group.
   EXPECT_EQ(bed.manager().TeSpec(te->id()).name, hw::NpuSpec::Gen2().name);
 }
@@ -157,12 +115,13 @@ TEST(HeteroPlacementTest, BlindPlacementFirstFitsTheExpensiveGeneration) {
 // ---------------- JE cost-aware dispatch ----------------
 
 TEST(HeteroDispatchTest, NarrowsDispatchToTheCheapGeneration) {
-  HeteroBed bed("gen1:2,gen2:2", /*cost_aware_je=*/true);
+  fleet::Fleet bed(HeteroSpec("gen1:2,gen2:2", /*cost_aware_je=*/true));
   flowserve::EngineConfig engine = EngineFor(model::ModelSpec::Tiny1B(), 8);
   engine.kv_block_capacity_override = 4096;
-  auto* gen1_a = bed.AddColocatedTe(engine);  // one TE per machine at TP8
-  auto* gen1_b = bed.AddColocatedTe(engine);
-  auto* gen2 = bed.AddColocatedTe(engine);
+  // One TE per machine at TP8.
+  auto* gen1_a = bed.AddTe(flowserve::EngineRole::kColocated, engine);
+  auto* gen1_b = bed.AddTe(flowserve::EngineRole::kColocated, engine);
+  auto* gen2 = bed.AddTe(flowserve::EngineRole::kColocated, engine);
   bed.Link();
   ASSERT_EQ(bed.manager().TeSpec(gen1_b->id()).name, hw::NpuSpec::Gen1().name);
   ASSERT_EQ(bed.manager().TeSpec(gen2->id()).name, hw::NpuSpec::Gen2().name);
@@ -188,12 +147,15 @@ TEST(HeteroDispatchTest, NarrowsDispatchToTheCheapGeneration) {
 TEST(HeteroDispatchTest, FallsBackToFullFleetWhenNoGenerationFitsPrediction) {
   // A predictor so pessimistic that no TE's roofline KV capacity can fit
   // any request's predicted context; the actual decode lengths stay small.
-  HeteroBed bed("gen1:2,gen2:2", /*cost_aware_je=*/true,
-                std::make_unique<serving::ConstantPredictor>(int64_t{1} << 40));
+  fleet::FleetSpec pessimistic = HeteroSpec("gen1:2,gen2:2", /*cost_aware_je=*/true);
+  pessimistic.predictor = [] {
+    return std::make_unique<serving::ConstantPredictor>(int64_t{1} << 40);
+  };
+  fleet::Fleet bed(pessimistic);
   flowserve::EngineConfig engine = EngineFor(model::ModelSpec::Tiny1B(), 8);
   engine.kv_block_capacity_override = 4096;  // the engine itself serves fine
-  bed.AddColocatedTe(engine);
-  bed.AddColocatedTe(engine);
+  bed.AddTe(flowserve::EngineRole::kColocated, engine);
+  bed.AddTe(flowserve::EngineRole::kColocated, engine);
   bed.Link();
 
   std::set<workload::RequestId> completed;
@@ -255,7 +217,7 @@ TEST_P(HeteroPropertyTest, PreviewNeverPicksGenerationWhoseHbmCannotFit) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 20; ++iter) {
     std::string mix = RandomMix(rng);
-    HeteroBed bed(mix);
+    fleet::Fleet bed(HeteroSpec(mix));
     ModelChoice pick = FeasibleModels()[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(FeasibleModels().size()) - 1))];
     flowserve::EngineConfig engine = EngineFor(pick.model, pick.tp);
@@ -298,7 +260,7 @@ TEST_P(HeteroPropertyTest, PlacementNeverStrandsAPlaceableJobAndOrdersByValue) {
   Rng rng(GetParam() ^ 0x9e3779b97f4a7c15ull);
   for (int iter = 0; iter < 6; ++iter) {
     std::string mix = RandomMix(rng);
-    HeteroBed bed(mix);
+    fleet::Fleet bed(HeteroSpec(mix));
     // Yi-34B TP4 fits both generations: every machine holds exactly two TEs,
     // so nothing may be stranded until the whole cluster is full.
     flowserve::EngineConfig engine = EngineFor(model::ModelSpec::Yi34B(), 4);

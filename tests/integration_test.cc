@@ -146,8 +146,7 @@ TEST_F(PlatformTest, DeterministicAcrossRuns) {
     fleet::FleetSpec spec;
     spec.cluster.num_machines = 2;
     spec.je.policy = SchedulingPolicy::kCombined;
-    spec.predictor_accuracy = 0.9;
-    spec.predictor_seed = seed;
+    spec.predictor = [seed] { return serving::MakeNoisyPredictor(0.9, seed); };
     fleet::Fleet fleet(spec);
     fleet.AddTe(flowserve::EngineRole::kColocated,
                 SmallEngine(flowserve::EngineRole::kColocated, 0));
