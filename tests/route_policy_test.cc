@@ -10,15 +10,9 @@
 #include <vector>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
 #include "faults/fault_injector.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
-#include "serving/frontend.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
+#include "fleet/fleet.h"
 #include "serving/route_policy.h"
-#include "sim/simulator.h"
 #include "workload/tracegen.h"
 #include "test_util.h"
 
@@ -49,38 +43,28 @@ void Mix(uint64_t* hash, uint64_t value) {
   }
 }
 
+// `jes` load-only JEs on a 2-machine cluster behind a "tiny-1b" Frontend.
+fleet::FleetSpec FrontendSpec(int jes, serving::RouteConfig route = {}) {
+  fleet::FleetSpec spec;
+  spec.cluster.num_machines = 2;
+  spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  spec.num_jes = jes;
+  spec.frontend = true;
+  spec.model = "tiny-1b";
+  spec.route = route;
+  return spec;
+}
+
 GoldenRun RunRrGolden(uint64_t seed) {
-  sim::Simulator sim;
-  hw::ClusterConfig cc;
-  cc.num_machines = 2;
-  hw::Cluster cluster(&sim, cc);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
-
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  std::vector<std::unique_ptr<serving::JobExecutor>> jes;
-  std::vector<serving::TaskExecutor*> tes;  // tes[i] belongs to jes[te_owner[i]]
+  fleet::Fleet fleet(FrontendSpec(3));
+  sim::Simulator& sim = fleet.sim();
+  std::vector<serving::TaskExecutor*> tes;  // replica i runs te_counts[i] TEs
   const int te_counts[3] = {1, 2, 1};
-  for (int i = 0; i < 3; ++i) {
-    jes.push_back(std::make_unique<serving::JobExecutor>(
-        &sim, je_config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor()));
+  for (size_t i = 0; i < 3; ++i) {
     for (int t = 0; t < te_counts[i]; ++t) {
-      auto te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated));
-      DS_CHECK(te.ok()) << te.status().ToString();
-      jes.back()->AddColocatedTe(*te);
-      tes.push_back(*te);
+      tes.push_back(fleet.AddTe(flowserve::EngineRole::kColocated,
+                                SmallEngine(flowserve::EngineRole::kColocated), i));
     }
-  }
-  manager.AddFailureHandler([&jes](serving::TeId id) {
-    for (auto& je : jes) {
-      je->OnTeFailure(id);
-    }
-  });
-
-  serving::Frontend frontend(&sim);
-  for (auto& je : jes) {
-    frontend.RegisterServingJe("tiny-1b", je.get());
   }
 
   auto trace_config = workload::TraceGenerator::InternalTrace(8.0, 20.0, seed);
@@ -89,43 +73,38 @@ GoldenRun RunRrGolden(uint64_t seed) {
   auto trace = workload::TraceGenerator(trace_config).Generate();
 
   GoldenRun run;
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&sim, &frontend, &run, spec] {
-      serving::ChatRequest request;
-      request.model = "tiny-1b";
-      request.spec = spec;
-      serving::ResponseHandler handler;
-      handler.on_complete = [&run, &sim, id = spec.id](const flowserve::Sequence& seq) {
-        ++run.completed;
-        Mix(&run.hash, static_cast<uint64_t>(id) * 3);
-        Mix(&run.hash, static_cast<uint64_t>(seq.first_token_time));
-        Mix(&run.hash, static_cast<uint64_t>(seq.finish_time));
-        run.end_time = sim.Now();
-      };
-      handler.on_error = [&run, &sim, id = spec.id](const Status&) {
-        ++run.errored;
-        Mix(&run.hash, static_cast<uint64_t>(id) * 3 + 1);
-        Mix(&run.hash, static_cast<uint64_t>(sim.Now()));
-        run.end_time = sim.Now();
-      };
-      // Pre-dispatch rejections are reported through the returned Status (and
-      // counted here via the Status alone, so this harness pins the same
-      // numbers on both sides of the exactly-once semantics change).
-      if (!frontend.ChatCompletion(request, std::move(handler)).ok()) {
-        ++run.rejected;
-        Mix(&run.hash, static_cast<uint64_t>(spec.id) * 3 + 2);
-      }
-    });
-  }
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&run, &sim](const workload::RequestSpec& spec, TimeNs,
+                                   const flowserve::Sequence& seq) {
+    ++run.completed;
+    Mix(&run.hash, static_cast<uint64_t>(spec.id) * 3);
+    Mix(&run.hash, static_cast<uint64_t>(seq.first_token_time));
+    Mix(&run.hash, static_cast<uint64_t>(seq.finish_time));
+    run.end_time = sim.Now();
+  };
+  hooks.on_error = [&run, &sim](const workload::RequestSpec& spec, const Status&) {
+    ++run.errored;
+    Mix(&run.hash, static_cast<uint64_t>(spec.id) * 3 + 1);
+    Mix(&run.hash, static_cast<uint64_t>(sim.Now()));
+    run.end_time = sim.Now();
+  };
+  // Pre-dispatch rejections are reported through the returned Status alone,
+  // so this harness pins the same numbers on both sides of the exactly-once
+  // semantics change.
+  hooks.on_reject = [&run](const workload::RequestSpec& spec, const Status&) {
+    ++run.rejected;
+    Mix(&run.hash, static_cast<uint64_t>(spec.id) * 3 + 2);
+  };
+  fleet.Submit(trace, hooks);
   // Replica 2's only TE dies mid-run: its in-flight work errors out (no other
   // TE inside that JE) and the rotation must skip it from then on.
-  sim.ScheduleAt(SToNs(6.0), [&manager, &tes] {
-    auto killed = manager.KillTe(tes[3]->id());
+  sim.ScheduleAt(SToNs(6.0), [&fleet, &tes] {
+    auto killed = fleet.manager().KillTe(tes[3]->id());
     DS_CHECK(killed.ok()) << killed.status().ToString();
   });
   sim.Run();
-  for (int i = 0; i < 3; ++i) {
-    run.je_requests[i] = jes[i]->stats().requests;
+  for (size_t i = 0; i < 3; ++i) {
+    run.je_requests[i] = fleet.je(i).stats().requests;
   }
   return run;
 }
@@ -301,36 +280,18 @@ TEST(LatencyWindowTest, ExactPercentileOverRetainedWindow) {
 // its TE — the engine reclaims the sequence and no second completion lands.
 
 TEST(HedgingTest, HedgeWinsOverSlowPrimaryAndLoserIsCancelled) {
-  sim::Simulator sim;
-  hw::ClusterConfig cc;
-  cc.num_machines = 2;
-  hw::Cluster cluster(&sim, cc);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
-
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  std::vector<std::unique_ptr<serving::JobExecutor>> jes;
-  std::vector<serving::TaskExecutor*> tes;
-  for (int i = 0; i < 2; ++i) {
-    jes.push_back(std::make_unique<serving::JobExecutor>(
-        &sim, je_config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor()));
-    auto te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated));
-    ASSERT_TRUE(te.ok()) << te.status().ToString();
-    jes.back()->AddColocatedTe(*te);
-    tes.push_back(*te);
-  }
-
   serving::RouteConfig route;
   route.policy = "rr";
   route.hedge_floor = MsToNs(50.0);
-  serving::Frontend frontend(&sim, route);
-  for (auto& je : jes) {
-    frontend.RegisterServingJe("tiny-1b", je.get());
+  fleet::Fleet fleet(FrontendSpec(2, route));
+  sim::Simulator& sim = fleet.sim();
+  for (size_t i = 0; i < fleet.num_jes(); ++i) {
+    fleet.AddTe(flowserve::EngineRole::kColocated, SmallEngine(flowserve::EngineRole::kColocated),
+                i);
   }
 
   // TE 0 — the rr primary's only TE — runs 20x slower from t=1s on.
-  faults::FaultInjector injector(&sim, &manager, /*seed=*/1);
+  faults::FaultInjector injector(&sim, &fleet.manager(), /*seed=*/1);
   auto plan = faults::FaultInjector::ParseSchedule("slow@1:20x60#0");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   injector.ScheduleAll(*plan);
@@ -348,19 +309,19 @@ TEST(HedgingTest, HedgeWinsOverSlowPrimaryAndLoserIsCancelled) {
     serving::ResponseHandler handler;
     handler.on_complete = [&completions](const flowserve::Sequence&) { ++completions; };
     handler.on_error = [&errors](const Status&) { ++errors; };
-    Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
+    Status status = fleet.frontend()->ChatCompletion(std::move(request), std::move(handler));
     EXPECT_TRUE(status.ok()) << status.ToString();
   });
   sim.Run();
 
-  const serving::FrontendStats& stats = frontend.stats();
+  const serving::FrontendStats& stats = fleet.frontend()->stats();
   EXPECT_EQ(completions, 1);  // exactly one termination despite two branches
   EXPECT_EQ(errors, 0);
   EXPECT_EQ(stats.hedges_launched, 1);
   EXPECT_EQ(stats.hedge_wins, 1);     // the duplicate finished first
   EXPECT_EQ(stats.hedge_cancels, 1);  // and the slow primary branch was cancelled
-  EXPECT_EQ(jes[0]->stats().cancelled, 1);
-  EXPECT_EQ(jes[1]->stats().requests, 1);
+  EXPECT_EQ(fleet.je(0).stats().cancelled, 1);
+  EXPECT_EQ(fleet.je(1).stats().requests, 1);
 }
 
 }  // namespace
