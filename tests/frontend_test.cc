@@ -7,13 +7,9 @@
 #include <vector>
 
 #include "common/time_units.h"
-#include "distflow/distflow.h"
+#include "fleet/fleet.h"
 #include "flowserve/engine.h"
-#include "hw/cluster.h"
-#include "serving/cluster_manager.h"
 #include "serving/frontend.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
 #include "sim/simulator.h"
 #include "workload/metrics.h"
 #include "workload/tracegen.h"
@@ -31,40 +27,41 @@ serving::ChatRequest Chat(const std::string& model, workload::RequestSpec spec) 
   return request;
 }
 
+// Up to three load-only JE replicas on a 2-machine fleet, each test building
+// its own Frontend over the ones it takes. The fleet's TE-failure wiring
+// notifies every replica.
 class FrontendTest : public ::testing::Test {
  protected:
-  FrontendTest() {
-    hw::ClusterConfig cc;
-    cc.num_machines = 2;
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cc);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(),
-                                                         transfer_.get());
+  FrontendTest() : fleet_(Spec()) {}
+
+  static fleet::FleetSpec Spec() {
+    fleet::FleetSpec spec;
+    spec.cluster.num_machines = 2;
+    spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+    spec.num_jes = 3;
+    return spec;
   }
 
-  std::unique_ptr<serving::JobExecutor> MakeJeWithTe() {
-    serving::JeConfig config;
-    config.policy = serving::SchedulingPolicy::kLoadOnly;
-    auto je = std::make_unique<serving::JobExecutor>(
-        &sim_, config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor());
-    auto te = manager_->CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
-    je->AddColocatedTe(te);
-    last_te_ = te;
-    return je;
+  // The next unused JE replica, without TEs.
+  serving::JobExecutor* NextJe() { return &fleet_.je(next_je_++); }
+
+  serving::JobExecutor* MakeJeWithTe() {
+    last_te_ = fleet_.AddTe(flowserve::EngineRole::kColocated,
+                            SmallEngine(flowserve::EngineRole::kColocated), next_je_);
+    return NextJe();
   }
 
-  sim::Simulator sim_;
-  std::unique_ptr<hw::Cluster> cluster_;
-  std::unique_ptr<distflow::TransferEngine> transfer_;
-  std::unique_ptr<serving::ClusterManager> manager_;
+  fleet::Fleet fleet_;
+  sim::Simulator& sim_ = fleet_.sim();
+  serving::ClusterManager* manager_ = &fleet_.manager();
+  size_t next_je_ = 0;
   serving::TaskExecutor* last_te_ = nullptr;
 };
 
 TEST_F(FrontendTest, RoutesByModelName) {
   serving::Frontend frontend;
   auto je = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", je.get());
+  frontend.RegisterServingJe("tiny-1b", je);
   bool done = false;
   EXPECT_TRUE(frontend
                   .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 128, 8, 900, 6000)),
@@ -94,7 +91,7 @@ TEST_F(FrontendTest, UnknownModelRejectedThroughStatusExactlyOnce) {
 TEST_F(FrontendTest, DeadlineAlreadyMissedRejected) {
   serving::Frontend frontend(&sim_);
   auto je = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", je.get());
+  frontend.RegisterServingJe("tiny-1b", je);
   sim_.ScheduleAt(MsToNs(100), [&] {
     auto request = Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000));
     request.deadline = MsToNs(50);  // already in the past
@@ -113,7 +110,7 @@ TEST_F(FrontendTest, DeadlineAlreadyMissedRejected) {
 TEST_F(FrontendTest, PriorityOverrideReachesEngine) {
   serving::Frontend frontend;
   auto je = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", je.get());
+  frontend.RegisterServingJe("tiny-1b", je);
   auto request = Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000));
   request.spec.priority = 2;
   request.priority = 0;  // envelope overrides the spec
@@ -134,8 +131,8 @@ TEST_F(FrontendTest, RoundRobinAcrossJeReplicas) {
   serving::Frontend frontend;
   auto je1 = MakeJeWithTe();
   auto je2 = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", je1.get());
-  frontend.RegisterServingJe("tiny-1b", je2.get());
+  frontend.RegisterServingJe("tiny-1b", je1);
+  frontend.RegisterServingJe("tiny-1b", je2);
   EXPECT_EQ(frontend.je_count("tiny-1b"), 2u);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(frontend
@@ -152,12 +149,10 @@ TEST_F(FrontendTest, RoundRobinAcrossJeReplicas) {
 
 TEST_F(FrontendTest, SkipsJeWithoutCapacity) {
   serving::Frontend frontend;
-  serving::JeConfig config;
-  auto empty_je = std::make_unique<serving::JobExecutor>(
-      &sim_, config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor());
+  serving::JobExecutor* empty_je = NextJe();
   auto good_je = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", empty_je.get());
-  frontend.RegisterServingJe("tiny-1b", good_je.get());
+  frontend.RegisterServingJe("tiny-1b", empty_je);
+  frontend.RegisterServingJe("tiny-1b", good_je);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(frontend
                     .ChatCompletion(Chat("tiny-1b", MakeRequest(
@@ -173,10 +168,8 @@ TEST_F(FrontendTest, SkipsJeWithoutCapacity) {
 
 TEST_F(FrontendTest, AllReplicasDownMeansUnavailable) {
   serving::Frontend frontend;
-  serving::JeConfig config;
-  auto empty_je = std::make_unique<serving::JobExecutor>(
-      &sim_, config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor());
-  frontend.RegisterServingJe("tiny-1b", empty_je.get());
+  serving::JobExecutor* empty_je = NextJe();
+  frontend.RegisterServingJe("tiny-1b", empty_je);
   EXPECT_EQ(frontend
                 .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000)),
                                 {nullptr, nullptr, nullptr})
@@ -186,13 +179,14 @@ TEST_F(FrontendTest, AllReplicasDownMeansUnavailable) {
 }
 
 TEST_F(FrontendTest, CapacityConsultsTeStateNotGroupMembership) {
-  // A JE whose only TE has failed still *has* the TE in its group; the old
-  // group-membership check would have routed to it. HasReadyCapacity must
-  // consult TeState instead.
+  // A JE whose only TE has crashed, before the detector notices, still *has*
+  // the TE in its group; the old group-membership check would have routed to
+  // it. HasReadyCapacity must consult TeState instead.
   serving::Frontend frontend;
   auto je = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", je.get());
-  ASSERT_TRUE(manager_->KillTe(last_te_->id()).ok());
+  frontend.RegisterServingJe("tiny-1b", je);
+  ASSERT_TRUE(manager_->CrashTe(last_te_->id()).ok());
+  ASSERT_EQ(je->colocated_count(), 1u);
   EXPECT_EQ(frontend
                 .ChatCompletion(Chat("tiny-1b", MakeRequest(1, 64, 4, 900, 6000)),
                                 {nullptr, nullptr, nullptr})
@@ -206,12 +200,8 @@ TEST_F(FrontendTest, RoundRobinSkipsFailedReplicaAndResumesOnReplacement) {
   auto je1 = MakeJeWithTe();
   auto* te1 = last_te_;
   auto je2 = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", je1.get());
-  frontend.RegisterServingJe("tiny-1b", je2.get());
-  manager_->AddFailureHandler([&](serving::TeId id) {
-    je1->OnTeFailure(id);
-    je2->OnTeFailure(id);
-  });
+  frontend.RegisterServingJe("tiny-1b", je1);
+  frontend.RegisterServingJe("tiny-1b", je2);
 
   // je1's TE fails mid-stream: subsequent requests all land on je2.
   ASSERT_TRUE(manager_->KillTe(te1->id()).ok());
@@ -229,7 +219,7 @@ TEST_F(FrontendTest, RoundRobinSkipsFailedReplicaAndResumesOnReplacement) {
 
   // A replacement replica registered later re-enters the rotation.
   auto je3 = MakeJeWithTe();
-  frontend.RegisterServingJe("tiny-1b", je3.get());
+  frontend.RegisterServingJe("tiny-1b", je3);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(frontend
                     .ChatCompletion(Chat("tiny-1b", MakeRequest(
@@ -249,8 +239,7 @@ TEST_F(FrontendTest, PostDispatchLossDeliversOnError) {
   serving::Frontend frontend;
   auto je = MakeJeWithTe();
   auto* te = last_te_;
-  frontend.RegisterServingJe("tiny-1b", je.get());
-  manager_->AddFailureHandler([&](serving::TeId id) { je->OnTeFailure(id); });
+  frontend.RegisterServingJe("tiny-1b", je);
 
   int completions = 0;
   int errors = 0;
@@ -279,7 +268,7 @@ TEST_F(FrontendTest, FineTuneRouting) {
   serving::Frontend frontend;
   EXPECT_EQ(frontend.FineTune(serving::FineTuneRequest{}, nullptr).code(),
             StatusCode::kUnavailable);
-  serving::FineTuneJobExecutor ft(&sim_, manager_.get());
+  serving::FineTuneJobExecutor ft(&sim_, manager_);
   frontend.RegisterFineTuneExecutor(&ft);
   serving::FineTuneRequest request;
   request.base_model = model::ModelSpec::Tiny1B();
