@@ -274,7 +274,8 @@ TEST_F(EngineTest, PpChunkSpreadingImprovesTtft) {
     config.pp_spread_chunks = spread;
     Engine engine(&sim, config);
     TimeNs first = 0;
-    engine.Submit(MakeRequest(1, 4096, 4, 1000, 7000), [&](const Sequence& seq) { first = seq.first_token_time; },
+    engine.Submit(MakeRequest(1, 4096, 4, 1000, 7000),
+                  [&](const Sequence& seq) { first = seq.first_token_time; },
                   [](const Sequence&) {});
     // Background decodes keep all micro-batches busy.
     for (int i = 0; i < 8; ++i) {

@@ -43,7 +43,8 @@ TEST_F(SchedPolicyTest, BenchProducedHeatmapDrivesRouting) {
   je.AddPrefillTe(prefill.get());
   je.AddDecodeTe(decode.get());
   for (int i = 0; i < 4; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 128, 512, 400, 5000), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 128, 512, 400, 5000),
+                     {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   // Short-prefill/long-decode requests would default colocated; the loaded
@@ -72,7 +73,8 @@ TEST_F(SchedPolicyTest, OverloadGuardRedirectsToColocated) {
   // fires and the rest land on the idle colocated TE.
   for (int i = 0; i < 12; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 512,
-                                 static_cast<TokenId>(100 + 613 * i), 5000), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(100 + 613 * i), 5000),
+                     {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_GT(je.stats().routed_disaggregated, 0);
@@ -97,7 +99,8 @@ TEST_F(SchedPolicyTest, OverloadGuardAlsoProtectsColocatedSide) {
   je.AddDecodeTe(decode.get());
   for (int i = 0; i < 12; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 512,
-                                 static_cast<TokenId>(100 + 419 * i), 5000), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(100 + 419 * i), 5000),
+                     {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_GT(je.stats().routed_colocated, 0);
@@ -124,7 +127,8 @@ TEST_F(SchedPolicyTest, LoadBalanceSlackGatesLocality) {
     je.AddColocatedTe(&te1);
     je.AddColocatedTe(&te2);
     for (int i = 0; i < 6; ++i) {
-      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 64, 777, 5000), {nullptr, nullptr, nullptr});
+      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 64, 777, 5000),
+                       {nullptr, nullptr, nullptr});
     }
     sim.Run();
     if (slack > 0) {
@@ -145,7 +149,8 @@ TEST_F(SchedPolicyTest, PromptTreeCapIsEnforced) {
   je.AddColocatedTe(te.get());
   for (int i = 0; i < 64; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 256, 2,
-                                 static_cast<TokenId>(1000 + 293 * i), 5000), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(1000 + 293 * i), 5000),
+                     {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   // All requests served despite aggressive tree trimming.

@@ -7,6 +7,7 @@
 #include "common/time_units.h"
 #include "common/types.h"
 #include "distflow/distflow.h"
+#include "fleet/fleet.h"
 #include "hw/cluster.h"
 #include "serving/cluster_manager.h"
 #include "serving/heatmap.h"
@@ -202,7 +203,8 @@ TEST_F(ServingTest, JobAndTaskRecordsForColocatedRoute) {
   auto te = MakeTe(1, flowserve::EngineRole::kColocated);
   je.AddColocatedTe(te.get());
   bool done = false;
-  je.HandleRequest(MakeRequest(1, 256, 8, 500, 9001), {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
+  je.HandleRequest(MakeRequest(1, 256, 8, 500, 9001),
+                   {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
   ASSERT_EQ(je.jobs().size(), 1u);
@@ -220,7 +222,8 @@ TEST_F(ServingTest, DisaggregatedJobCreatesTwoTasks) {
   je.AddDecodeTe(decode.get());
   bool done = false;
   // Long prefill, short decode: the heatmap must route this to the PD pair.
-  je.HandleRequest(MakeRequest(1, 4096, 32, 500, 9001), {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
+  je.HandleRequest(MakeRequest(1, 4096, 32, 500, 9001),
+                   {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(je.stats().routed_disaggregated, 1);
@@ -254,7 +257,8 @@ TEST_F(ServingTest, RoundRobinAlternatesSlots) {
   je.AddColocatedTe(te1.get());
   je.AddColocatedTe(te2.get());
   for (int i = 0; i < 6; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 4, 500, 9001), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 4, 500, 9001),
+                     {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_EQ(te1->engine().stats().submitted, 3);
@@ -271,8 +275,10 @@ TEST_F(ServingTest, LocalityAwareRoutesSharedPrefixToSameTe) {
   // members can reuse the KV the earlier ones preserved.
   for (int i = 0; i < 4; ++i) {
     sim_.ScheduleAt(SToNs(static_cast<double>(i) * 2.0), [&je, i] {
-      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(10 + i), 512, 2, 1000, 9001), {nullptr, nullptr, nullptr});
-      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(20 + i), 512, 2, 25000, 9001), {nullptr, nullptr, nullptr});
+      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(10 + i), 512, 2, 1000, 9001),
+                       {nullptr, nullptr, nullptr});
+      je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(20 + i), 512, 2, 25000, 9001),
+                       {nullptr, nullptr, nullptr});
     });
   }
   sim_.Run();
@@ -296,7 +302,8 @@ TEST_F(ServingTest, LoadAwareKicksInWhenUnbalanced) {
   // Same prefix every time: pure locality would pile everything on one TE,
   // but load-aware spreads once the queue gap exceeds the slack.
   for (int i = 0; i < 8; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 2048, 64, 777, 9001), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 2048, 64, 777, 9001),
+                     {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_GT(je.stats().load_decisions, 0);
@@ -312,7 +319,8 @@ TEST_F(ServingTest, RemoveTeStopsRouting) {
   je.AddColocatedTe(te2.get());
   je.RemoveTe(1);
   for (int i = 0; i < 4; ++i) {
-    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 2, 500, 9001), {nullptr, nullptr, nullptr});
+    je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 64, 2, 500, 9001),
+                     {nullptr, nullptr, nullptr});
   }
   sim_.Run();
   EXPECT_EQ(te1->engine().stats().submitted, 0);
@@ -516,18 +524,18 @@ TEST_F(ScalingTest, PredictivePreloadFillsPageCaches) {
 }
 
 TEST_F(ScalingTest, AutoscalerAddsTesUnderLoad) {
-  auto manager = MakeManager({});
+  fleet::FleetSpec spec;
+  spec.cluster = MakeClusterConfig();
+  spec.je.policy = SchedulingPolicy::kLoadOnly;
+  fleet::Fleet fleet(spec);
+  ClusterManager& manager = fleet.manager();
+  JobExecutor& je = fleet.je();
   manager.ReservePrewarmedPods(8);
   manager.ReservePrewarmedTes(8);
   manager.PreloadModelToDram(0, model::ModelSpec::Tiny1B());
-  sim_.Run();
-
-  JeConfig je_config;
-  je_config.policy = SchedulingPolicy::kLoadOnly;
-  JobExecutor je(&sim_, je_config, PdHeatmap::Default(), MakeOraclePredictor());
-  auto first = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated, 8192));
-  ASSERT_TRUE(first.ok());
-  je.AddColocatedTe(*first);
+  fleet.sim().Run();
+  fleet.AddTe(flowserve::EngineRole::kColocated,
+              SmallEngine(flowserve::EngineRole::kColocated, 8192));
 
   AutoscalerConfig as_config;
   as_config.check_interval = MsToNs(500);
@@ -541,11 +549,12 @@ TEST_F(ScalingTest, AutoscalerAddsTesUnderLoad) {
   // Slam the system with enough work to trip the threshold.
   for (int i = 0; i < 64; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 2048, 128,
-                                 static_cast<TokenId>(100 + 37 * i), 9001), {nullptr, nullptr, nullptr});
+                                 static_cast<TokenId>(100 + 37 * i), 9001),
+                     {nullptr, nullptr, nullptr});
   }
-  sim_.RunUntil(SToNs(120));
+  fleet.sim().RunUntil(SToNs(120));
   manager.StopAutoscaler();
-  sim_.Run();
+  fleet.sim().Run();
   EXPECT_GT(manager.stats().scale_ups, 0);
   EXPECT_GT(je.colocated_count(), 1u);
 }
