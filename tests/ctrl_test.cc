@@ -19,11 +19,10 @@
 #include "ctrl/te_directory.h"
 #include "distflow/distflow.h"
 #include "faults/fault_injector.h"
+#include "fleet/fleet.h"
 #include "hw/cluster.h"
 #include "obs/metrics.h"
 #include "serving/cluster_manager.h"
-#include "serving/job_executor.h"
-#include "serving/predictor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
 #include "test_util.h"
@@ -379,6 +378,20 @@ class CtrlStackTest : public ::testing::Test {
   distflow::TransferEngine transfer_;
 };
 
+// A load-only JE fleet on the fixture's 3-machine cluster shape. `replicas` >
+// 1 puts the CM and the JE on one shared log with quorum 2.
+fleet::FleetSpec StackSpec(int replicas = 1, DurationNs latency = 0,
+                           DurationNs lease = MsToNs(500)) {
+  fleet::FleetSpec spec;
+  spec.cluster.num_machines = 3;
+  spec.je.policy = serving::SchedulingPolicy::kLoadOnly;
+  spec.ctrl.replicas = replicas;
+  spec.ctrl.quorum = replicas / 2 + 1;
+  spec.ctrl.replication_latency = latency;
+  spec.ctrl.lease_duration = lease;
+  return spec;
+}
+
 TEST_F(CtrlStackTest, TeDirectoryReplayMatchesLiveAfterScaleStopCrash) {
   serving::ClusterManager manager(&sim_, &cluster_, &transfer_);
   manager.ReservePrewarmedPods(2);
@@ -410,28 +423,22 @@ TEST_F(CtrlStackTest, TeDirectoryReplayMatchesLiveAfterScaleStopCrash) {
 }
 
 TEST_F(CtrlStackTest, JobTableReplayMatchesLiveAfterTraffic) {
-  ctrl::ControlLog log(&sim_);
-  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim_, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-  je.AttachControl(&log, &manager);
-  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
-  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3));
+  serving::JobExecutor& je = fleet.je();
+  fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), /*colocated=*/2, 0, 0);
 
   int completed = 0;
   for (int i = 1; i <= 6; ++i) {
-    sim_.ScheduleAt(MsToNs(50 * i), [&, i] {
+    fleet.sim().ScheduleAt(MsToNs(50 * i), [&, i] {
       je.HandleRequest(MakeRequest(i, 128, 16),
                        {nullptr, [&](const flowserve::Sequence&) { ++completed; }, nullptr});
     });
   }
-  sim_.Run();
+  fleet.sim().Run();
   EXPECT_EQ(completed, 6);
 
   ctrl::JobTable standby(je.table().domain());
-  log.ReplayInto(&standby);
+  fleet.ctrl_log()->ReplayInto(&standby);
   EXPECT_EQ(standby.Fingerprint(), je.table().Fingerprint());
   EXPECT_EQ(standby.applied(), je.table().applied());
   EXPECT_EQ(standby.jobs().size(), je.table().jobs().size());
@@ -555,37 +562,28 @@ TEST_F(CtrlStackTest, CmFailoverResumesParkedPipelineExactlyOnce) {
 }
 
 TEST_F(CtrlStackTest, TeCrashDuringCmOutageDetectedAtTakeover) {
-  ctrl::CtrlConfig config;
-  config.replicas = 3;
-  config.quorum = 2;
-  config.replication_latency = MsToNs(1);
-  config.lease_duration = SToNs(2);
-  ctrl::ControlLog log(&sim_, config);
-  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, MsToNs(1), SToNs(2)));
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
+  serving::JobExecutor& je = fleet.je();
   manager.ReservePrewarmedPods(2);
   manager.ReservePrewarmedTes(2);
   manager.PreloadModelToDram(0, model::ModelSpec::Tiny1B());
-  sim_.Run();
+  sim.Run();
 
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim_, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
+  // The fleet's wiring re-dispatches on the JE; this handler only records.
   std::vector<serving::TeId> failed_tes;
-  manager.AddFailureHandler([&](serving::TeId id) {
-    failed_tes.push_back(id);
-    je.OnTeFailure(id);
-  });
+  manager.AddFailureHandler([&](serving::TeId id) { failed_tes.push_back(id); });
   serving::ScaleRequest replacement;
   replacement.engine = SmallEngine(flowserve::EngineRole::kColocated);
   manager.SetReplacementPolicy(replacement,
                                [&](serving::TaskExecutor* te) { je.AddColocatedTe(te); });
 
-  auto* te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
-  je.AddColocatedTe(te);
+  auto* te = fleet.AddTe(flowserve::EngineRole::kColocated,
+                         SmallEngine(flowserve::EngineRole::kColocated));
   const serving::TeId victim = te->id();
 
-  sim_.RunUntil(SToNs(1));
+  sim.RunUntil(SToNs(1));
   ASSERT_TRUE(manager.CrashControlLeader().ok());
   // The TE dies while no leader is listening: the data plane loses it now,
   // but the report sits in the pod-runtime backlog until takeover.
@@ -594,7 +592,7 @@ TEST_F(CtrlStackTest, TeCrashDuringCmOutageDetectedAtTakeover) {
   EXPECT_EQ(manager.stats().detections, 0);
   EXPECT_TRUE(failed_tes.empty());
 
-  sim_.Run();
+  sim.Run();
   EXPECT_TRUE(manager.leader_up());
   EXPECT_EQ(manager.stats().detections, 1);
   ASSERT_EQ(failed_tes.size(), 1u);
@@ -633,26 +631,16 @@ TEST_F(CtrlStackTest, SingleReplicaOutageIsPermanentUntilManualRecovery) {
 // ---------------- JE leader failover ----------------
 
 TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
-  ctrl::CtrlConfig config;
-  config.replicas = 3;
-  config.quorum = 2;
-  config.replication_latency = MsToNs(1);
-  config.lease_duration = MsToNs(100);
-  ctrl::ControlLog log(&sim_, config);
-  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim_, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-  je.AttachControl(&log, &manager);
-  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
-  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, MsToNs(1), MsToNs(100)));
+  sim::Simulator& sim = fleet.sim();
+  serving::JobExecutor& je = fleet.je();
+  fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), /*colocated=*/2, 0, 0);
 
   constexpr int kRequests = 12;
   std::map<workload::RequestId, int> terminations;
   int completed = 0, errored = 0;
   for (int i = 1; i <= kRequests; ++i) {
-    sim_.ScheduleAt(MsToNs(100 * (i - 1)), [&, i] {
+    sim.ScheduleAt(MsToNs(100 * (i - 1)), [&, i] {
       je.HandleRequest(MakeRequest(i, 256, 32),
                        {nullptr,
                         [&, i](const flowserve::Sequence&) {
@@ -667,14 +655,14 @@ TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
   }
   // Crash mid-stream: some requests in flight (their completions must park),
   // some yet to arrive (they must buffer, then dispatch at takeover).
-  sim_.ScheduleAt(MsToNs(650), [&] {
+  sim.ScheduleAt(MsToNs(650), [&] {
     ASSERT_TRUE(je.CrashLeader().ok());
     EXPECT_FALSE(je.leader_up());
     EXPECT_FALSE(je.HasReadyCapacity());
     EXPECT_EQ(je.ReadyCapacityWeight(), 0);
     EXPECT_FALSE(je.CrashLeader().ok());  // already down
   });
-  sim_.Run();
+  sim.Run();
 
   EXPECT_TRUE(je.leader_up());
   EXPECT_EQ(je.control_epoch(), 1);
@@ -705,37 +693,21 @@ struct JeSoakResult {
 };
 
 JeSoakResult RunJeSoak(double duration_s) {
-  sim::Simulator sim;
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 3;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  ctrl::CtrlConfig config;
-  config.replicas = 3;
-  config.quorum = 2;
-  config.replication_latency = MsToNs(5);
-  config.lease_duration = MsToNs(100);
-  ctrl::ControlLog log(&sim, config);
-  serving::ClusterManager manager(&sim, &cluster, &transfer, {}, {}, &log);
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-  je.AttachControl(&log, &manager);
-  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
-  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, MsToNs(5), MsToNs(100)));
+  sim::Simulator& sim = fleet.sim();
+  serving::JobExecutor& je = fleet.je();
+  const ctrl::ControlLog& log = *fleet.ctrl_log();
+  fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), /*colocated=*/2, 0, 0);
 
   auto trace_config = workload::TraceGenerator::InternalTrace(2.0, duration_s, /*seed=*/7);
   trace_config.prefill = workload::LengthDistribution{256, 0.3, 32, 1024};
   trace_config.decode = workload::LengthDistribution{32, 0.4, 4, 128};
   JeSoakResult r;
-  for (const auto& spec : workload::TraceGenerator(trace_config).Generate()) {
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(spec, {nullptr, [&](const flowserve::Sequence&) { ++r.completed; },
-                              nullptr});
-    });
-  }
-  sim.Run();
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&r](const workload::RequestSpec&, TimeNs, const flowserve::Sequence&) {
+    ++r.completed;
+  };
+  fleet.Replay(workload::TraceGenerator(trace_config).Generate(), hooks);
 
   const int32_t domain = je.table().domain();
   r.appended = log.CountDomain(domain);
@@ -767,28 +739,19 @@ TEST(ControlLogSoakTest, JeLogMemoryIsFlatFromTToFourT) {
 }
 
 TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {
-  ctrl::CtrlConfig config;
-  config.replicas = 3;
-  config.quorum = 2;
-  config.replication_latency = MsToNs(1);
-  config.lease_duration = MsToNs(200);
-  ctrl::ControlLog log(&sim_, config);
-  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim_, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-  je.AttachControl(&log, &manager);
-  auto* te_a = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
-  auto* te_b = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
-  je.AddColocatedTe(te_a);
-  je.AddColocatedTe(te_b);
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, MsToNs(1), MsToNs(200)));
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
+  serving::JobExecutor& je = fleet.je();
+  auto* te_a = fleet.AddTe(flowserve::EngineRole::kColocated,
+                           SmallEngine(flowserve::EngineRole::kColocated));
+  fleet.AddTe(flowserve::EngineRole::kColocated, SmallEngine(flowserve::EngineRole::kColocated));
 
   constexpr int kRequests = 6;
   std::map<workload::RequestId, int> terminations;
   int completed = 0, errored = 0;
   for (int i = 1; i <= kRequests; ++i) {
-    sim_.ScheduleAt(MsToNs(80 * i), [&, i] {
+    sim.ScheduleAt(MsToNs(80 * i), [&, i] {
       je.HandleRequest(MakeRequest(i, 512, 128),
                        {nullptr,
                         [&, i](const flowserve::Sequence&) {
@@ -801,12 +764,12 @@ TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {
                         }});
     });
   }
-  sim_.ScheduleAt(MsToNs(550), [&] { ASSERT_TRUE(je.CrashLeader().ok()); });
+  sim.ScheduleAt(MsToNs(550), [&] { ASSERT_TRUE(je.CrashLeader().ok()); });
   // The CM leader is alive and kills the TE immediately; the JE's handler
   // (registered by AttachControl) parks the failure until its own takeover.
-  sim_.ScheduleAt(MsToNs(600),
+  sim.ScheduleAt(MsToNs(600),
                   [&] { ASSERT_TRUE(manager.KillTe(te_a->id()).ok()); });
-  sim_.Run();
+  sim.Run();
 
   EXPECT_TRUE(je.leader_up());
   EXPECT_EQ(je.stats().je_failovers, 1);
@@ -824,13 +787,11 @@ TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {
 }
 
 TEST_F(CtrlStackTest, SingleReplicaJeCrashFailsOutstandingAndRejectsArrivals) {
-  serving::ClusterManager manager(&sim_, &cluster_, &transfer_);
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim_, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());  // owned degenerate log
-  auto* te = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
-  je.AddColocatedTe(te);
+  fleet::Fleet fleet(StackSpec());  // private degenerate logs
+  sim::Simulator& sim = fleet.sim();
+  serving::JobExecutor& je = fleet.je();
+  auto* te = fleet.AddTe(flowserve::EngineRole::kColocated,
+                         SmallEngine(flowserve::EngineRole::kColocated));
 
   int completed = 0;
   std::vector<StatusCode> errors;
@@ -839,7 +800,7 @@ TEST_F(CtrlStackTest, SingleReplicaJeCrashFailsOutstandingAndRejectsArrivals) {
                      {nullptr, [&](const flowserve::Sequence&) { ++completed; },
                       [&](const Status& status) { errors.push_back(status.code()); }});
   }
-  sim_.RunUntil(MsToNs(300));  // all in flight
+  sim.RunUntil(MsToNs(300));  // all in flight
   ASSERT_TRUE(je.CrashLeader().ok());
   EXPECT_FALSE(je.leader_up());
   // No standby: every outstanding job severed immediately, engine side too.
@@ -854,7 +815,7 @@ TEST_F(CtrlStackTest, SingleReplicaJeCrashFailsOutstandingAndRejectsArrivals) {
   ASSERT_EQ(errors.size(), 4u);
   EXPECT_EQ(errors.back(), StatusCode::kUnavailable);
 
-  sim_.Run();
+  sim.Run();
   EXPECT_EQ(completed, 0);
   EXPECT_TRUE(te->engine().idle());  // severed sequences were cancelled
   EXPECT_EQ(je.stats().je_crashes, 1);
@@ -888,46 +849,25 @@ constexpr GoldenRow kGolden[] = {
 };
 
 GoldenRow RunGoldenStack(uint64_t seed) {
-  sim::Simulator sim;
   obs::MetricsRegistry metrics;
-  sim.SetMetrics(&metrics);
-  hw::ClusterConfig cluster_config;
-  cluster_config.num_machines = 3;
-  hw::Cluster cluster(&sim, cluster_config);
-  distflow::TransferEngine transfer(&sim, &cluster, distflow::DistFlowConfig{});
-  serving::ClusterManager manager(&sim, &cluster, &transfer);
+  fleet::Fleet fleet(StackSpec(), {nullptr, &metrics});
+  sim::Simulator& sim = fleet.sim();
+  serving::ClusterManager& manager = fleet.manager();
+  serving::JobExecutor& je = fleet.je();
   manager.ReservePrewarmedPods(6);
   manager.ReservePrewarmedTes(6);
-  for (int m = 0; m < cluster.num_machines(); ++m) {
+  for (int m = 0; m < fleet.cluster().num_machines(); ++m) {
     manager.PreloadModelToDram(m, model::ModelSpec::Tiny1B());
   }
   sim.Run();
 
-  serving::JeConfig je_config;
-  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
-  serving::JobExecutor je(&sim, je_config, serving::PdHeatmap::Default(),
-                          serving::MakeOraclePredictor());
-  manager.AddFailureHandler([&](serving::TeId id) { je.OnTeFailure(id); });
   serving::ScaleRequest replacement;
   replacement.engine = SmallEngine(flowserve::EngineRole::kColocated);
   manager.SetReplacementPolicy(replacement,
                                [&](serving::TaskExecutor* te) { je.AddColocatedTe(te); });
-
-  std::vector<distflow::EndpointId> endpoints;
-  auto* colocated =
-      manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
-  je.AddColocatedTe(colocated);
-  endpoints.push_back(colocated->id());
-  auto* prefill =
-      manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kPrefillOnly)).value();
-  je.AddPrefillTe(prefill);
-  endpoints.push_back(prefill->id());
-  auto* decode =
-      manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kDecodeOnly)).value();
-  je.AddDecodeTe(decode);
-  endpoints.push_back(decode->id());
-  EXPECT_TRUE(transfer.LinkCluster(endpoints, nullptr).ok());
-  sim.Run();
+  fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), /*colocated=*/1, /*prefill=*/1,
+               /*decode=*/1);
+  fleet.Link();
 
   serving::AutoscalerConfig as;
   as.policy = "predictive";
@@ -965,20 +905,20 @@ GoldenRow RunGoldenStack(uint64_t seed) {
   };
   for (auto& spec : trace) {
     spec.arrival += t0;
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(spec, {nullptr,
-                              [&, id = spec.id](const flowserve::Sequence& seq) {
-                                ++row.completed;
-                                mix(id);
-                                mix(static_cast<uint64_t>(seq.first_token_time));
-                                mix(static_cast<uint64_t>(seq.finish_time));
-                              },
-                              [&, id = spec.id](const Status&) {
-                                ++row.errored;
-                                mix(id * 2 + 1);
-                              }});
-    });
   }
+  fleet::ReplayHooks hooks;
+  hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
+                          const flowserve::Sequence& seq) {
+    ++row.completed;
+    mix(spec.id);
+    mix(static_cast<uint64_t>(seq.first_token_time));
+    mix(static_cast<uint64_t>(seq.finish_time));
+  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
+    ++row.errored;
+    mix(spec.id * 2 + 1);
+  };
+  fleet.Submit(trace, hooks);
   sim.RunUntil(t0 + SToNs(40));
   manager.StopAutoscaler();
   sim.Run();
