@@ -144,6 +144,8 @@ class Engine {
 
   // Introspection --------------------------------------------------------------
   LoadInfo load() const;
+  // Waiting + running sequences, in O(1): every live sequence is one of them.
+  int64_t queue_depth() const { return static_cast<int64_t>(sequences_.size()); }
   const EngineStats& stats() const { return stats_; }
   const EngineConfig& config() const { return config_; }
   const sched::SchedPolicy& policy() const { return *policy_; }

@@ -117,12 +117,8 @@ class TaskExecutor {
   // Used by the JE's cancel path (hedge losers); the caller owns termination.
   bool CancelRequest(workload::RequestId request_id);
 
-  // TE-shell health surface for the cluster manager.
-  flowserve::LoadInfo load() const { return engine_->load(); }
-  int64_t queue_depth() const {
-    auto info = engine_->load();
-    return info.waiting + info.running;
-  }
+  // Waiting + running sequences on the engine (the JE's load signal).
+  int64_t queue_depth() const { return engine_->queue_depth(); }
 
  private:
   void AcceptPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,

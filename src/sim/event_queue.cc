@@ -119,13 +119,22 @@ EventQueue::Handle EventQueue::Insert(TimeNs t, common::SmallFn fn) {
   links_walked_ += walked;
   ++cal_count_;
   ++ring_live_;
-  // Grow on occupancy; also rehash when one insert walked a degenerate chain
-  // (the width does not fit the live distribution, e.g. a dense cluster far
-  // from the window that the dequeue stream has not reached yet — resampling
-  // from the live population respreads it and reclaims tombstones).
+  // Grow on occupancy only. A degenerate chain walk means the width does not
+  // fit the live distribution (e.g. a dense cluster far from the window that
+  // the dequeue stream has not reached yet): respread at the same ring size,
+  // but only when resampling the live population moves the width by more
+  // than the hysteresis. Otherwise remember the width, so further long walks
+  // neither resample nor rehash until some rehash changes it.
   bool degenerate = walked > kMaxChainWalk;
-  if ((cal_count_ > nbuckets_ * 2 || degenerate) && nbuckets_ < kMaxBuckets) {
+  if (cal_count_ > nbuckets_ * 2 && nbuckets_ < kMaxBuckets) {
     Rehash(nbuckets_ * 2, /*sample_live=*/degenerate);
+  } else if (degenerate && width_ != settled_width_) {
+    TimeNs sampled = SampleWidth(SortedLive());
+    if (sampled > width_ * kWidthHysteresis || sampled * kWidthHysteresis < width_) {
+      Rehash(nbuckets_, /*sample_live=*/true);
+    } else {
+      settled_width_ = width_;
+    }
   }
   return h;
 }
@@ -342,6 +351,21 @@ void EventQueue::NotePop(TimeNs t) {
   }
 }
 
+std::vector<uint32_t> EventQueue::SortedLive() const {
+  std::vector<uint32_t> live;
+  live.reserve(ring_live_);
+  for (size_t b = 0; b < nbuckets_; ++b) {
+    for (uint32_t idx = buckets_[b]; idx != kNilIdx; idx = Rec(idx).next) {
+      if (Rec(idx).state == SlotState::kScheduled) {
+        live.push_back(idx);
+      }
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [this](uint32_t a, uint32_t b) { return Earlier(Rec(a), Rec(b)); });
+  return live;
+}
+
 void EventQueue::Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra) {
   // Drain every chain, dropping tombstones for good.
   std::vector<uint32_t> live;
@@ -369,6 +393,7 @@ void EventQueue::Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint3
   nbuckets_ = new_nbuckets;
   mask_ = nbuckets_ - 1;
   width_ = sample_live || dequeue_width_ == 0 ? SampleWidth(live) : dequeue_width_;
+  settled_width_ = 0;
   buckets_.assign(nbuckets_, kNilIdx);
   tails_.assign(nbuckets_, kNilIdx);
   // Distribute in ascending (time, seq): appending at per-bucket tails keeps

@@ -29,8 +29,10 @@
 //     twice the window mean, i.e. idle holes, are trimmed) and the ring is
 //     rehashed in place when the width is off by more than
 //     kWidthHysteresis x. Grow/shrink/migration rehashes take the same
-//     estimate; the live-gap median sample is the cold-start fallback and
-//     the fallback of the chain-walk trigger. Sparse far events then sit in
+//     estimate; the live-gap median sample is the cold-start fallback. A
+//     sorted insert that walks a degenerate chain resamples that median and
+//     rehashes in place only when it moves the width past the hysteresis;
+//     it never grows the ring by itself. Sparse far events then sit in
 //     later ring-years of their buckets, behind the near events; a sorted
 //     insert that cannot take the tail path resumes after the previous insert
 //     when it can, so an equal-time batch lands back to back in O(1) even
@@ -190,6 +192,8 @@ class EventQueue {
   // dequeue-stream estimate once one exists; `sample_live` (or a cold start)
   // re-samples it from the live population instead.
   void Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra = nullptr);
+  // The ring's live records in (time, seq) order, without touching the ring.
+  std::vector<uint32_t> SortedLive() const;
   TimeNs SampleWidth(const std::vector<uint32_t>& sorted_live) const;
   // Feeds one popped time to the dequeue-stream estimate; every kGapWindow
   // gaps it refreshes dequeue_width_ and rehashes in place if needed.
@@ -206,6 +210,9 @@ class EventQueue {
   size_t nbuckets_ = 0;
   size_t mask_ = 0;
   TimeNs width_ = 0;
+  // The width a degenerate-walk resample last confirmed (0 = none since the
+  // last rehash): long walks at this width skip the resample.
+  TimeNs settled_width_ = 0;
   size_t cur_bucket_ = 0;   // dequeue scan position
   TimeNs bucket_top_ = 0;   // exclusive upper time bound of cur_bucket_'s window
   size_t cal_count_ = 0;    // records chained into buckets (live + tombstoned)

@@ -332,6 +332,33 @@ TEST_F(EngineTest, LoadInfoReflectsRunningWork) {
   EXPECT_TRUE(engine_->idle());
 }
 
+TEST_F(EngineTest, QueueDepthIsWaitingPlusRunning) {
+  Start(TestConfig());
+  auto check = [this](int64_t want) {
+    LoadInfo load = engine_->load();
+    EXPECT_EQ(engine_->queue_depth(), load.waiting + load.running);
+    EXPECT_EQ(engine_->queue_depth(), want);
+  };
+  check(0);
+  for (workload::RequestId id = 1; id <= 6; ++id) {
+    engine_->Submit(MakeRequest(id, 1024, 2048, static_cast<TokenId>(1000 * id), 7000), nullptr,
+                    [](const Sequence&) {});
+  }
+  check(6);  // all waiting
+  sim_.RunUntil(MsToNs(5));
+  EXPECT_GT(engine_->load().running, 0);  // some prefilling
+  check(6);
+  ASSERT_TRUE(engine_->Cancel(6).ok());
+  check(5);
+  sim_.RunUntil(MsToNs(200));
+  EXPECT_GT(engine_->load().running, 0);  // decoding
+  check(5);
+  ASSERT_TRUE(engine_->Cancel(1).ok());
+  check(4);
+  sim_.Run();
+  check(0);
+}
+
 TEST_F(EngineTest, StatsAccounting) {
   Start(TestConfig());
   Run(MakeRequest(1, 512, 16, 1000, 7000));
