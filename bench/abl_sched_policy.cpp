@@ -99,14 +99,9 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
     hash ^= v;
     hash *= 1099511628211ull;
   };
-  std::map<workload::RequestId, int> terminations;
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
                           const flowserve::Sequence& seq) {
-    ++result.completed;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
     mix(spec.id * 2);
     mix(static_cast<uint64_t>(seq.finish_time));
     if (spec.deadline == 0 || seq.finish_time <= spec.deadline) {
@@ -122,16 +117,13 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
                         static_cast<double>(spec.decode_len - 1));
     }
   };
-  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++result.errored;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
-    mix(spec.id * 2 + 1);
-  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) { mix(spec.id * 2 + 1); };
   // A pre-dispatch rejection is folded into the error terminations.
   hooks.on_reject = hooks.on_error;
   bed.Replay(trace, hooks);
+  result.completed = bed.tally().completed;
+  result.errored = bed.tally().errored + bed.tally().rejected;
+  result.double_terminated = bed.tally().double_terminated;
 
   const flowserve::EngineStats& stats = te->engine().stats();
   result.shed = stats.shed;

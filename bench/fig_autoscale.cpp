@@ -128,7 +128,6 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
     hash ^= v;
     hash *= 1099511628211ull;
   };
-  std::map<workload::RequestId, int> terminations;
   const TimeNs slo = MsToNs(options.ttft_slo_ms);
   std::vector<workload::RequestSpec> shifted = trace;
   for (auto& spec : shifted) {
@@ -137,10 +136,6 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
                           const flowserve::Sequence& seq) {
-    ++result.completed;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
     mix(spec.id * 2);
     mix(static_cast<uint64_t>(seq.finish_time));
     TimeNs ttft = first - spec.arrival;
@@ -149,13 +144,7 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
       ++result.ttft_slo_violations;
     }
   };
-  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++result.errored;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
-    mix(spec.id * 2 + 1);
-  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) { mix(spec.id * 2 + 1); };
   bed.Submit(shifted, hooks);
   // Capacity-cost sampling: ready + draining TEs, every 500 ms over the
   // trace window (a draining TE still holds its NPUs).
@@ -178,6 +167,9 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   bed.sim().RunUntil(horizon);
   bed.manager().StopAutoscaler();
   bed.sim().Run();
+  result.completed = bed.tally().completed;
+  result.errored = bed.tally().errored;
+  result.double_terminated = bed.tally().double_terminated;
 
   const serving::AutoscalerStats& as = bed.manager().autoscaler()->stats();
   result.scale_ups = bed.manager().stats().scale_ups;

@@ -122,7 +122,6 @@ RunResult RunOnce(const Options& options, int replicas) {
 
   RunResult result;
   result.submitted = static_cast<int64_t>(trace.size());
-  std::map<workload::RequestId, int> terminations;
   uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](uint64_t v) {
     hash ^= v;
@@ -134,19 +133,16 @@ RunResult RunOnce(const Options& options, int replicas) {
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
                           const flowserve::Sequence& seq) {
-    ++result.completed;
     result.goodput_tokens += spec.decode_len;
-    if (++terminations[spec.id] > 1) ++result.double_terminated;
     mix(spec.id);
     mix(static_cast<uint64_t>(seq.first_token_time));
     mix(static_cast<uint64_t>(seq.finish_time));
   };
-  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++result.errored;
-    if (++terminations[spec.id] > 1) ++result.double_terminated;
-    mix(spec.id * 2 + 1);
-  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) { mix(spec.id * 2 + 1); };
   bed.Replay(trace, hooks);
+  result.completed = bed.tally().completed;
+  result.errored = bed.tally().errored;
+  result.double_terminated = bed.tally().double_terminated;
 
   result.timeline_hash = hash;
   result.makespan_s = NsToS(bed.sim().Now() - t0);

@@ -125,34 +125,14 @@ int main(int argc, char** argv) {
       workload::TraceGenerator::InternalTrace(options.rps, options.duration_s);
   std::vector<workload::RequestSpec> trace = workload::TraceGenerator(trace_config).Generate();
 
-  int64_t completed = 0;
-  int64_t errored = 0;
-  int64_t rejected = 0;
-  int64_t double_terminated = 0;
   int64_t goodput_tokens = 0;
-  std::map<workload::RequestId, int> terminations;
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs, const flowserve::Sequence&) {
-    ++completed;
     goodput_tokens += spec.decode_len;
-    if (++terminations[spec.id] > 1) {
-      ++double_terminated;
-    }
-  };
-  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++errored;
-    if (++terminations[spec.id] > 1) {
-      ++double_terminated;
-    }
-  };
-  // A pre-dispatch rejection is this request's one termination.
-  hooks.on_reject = [&](const workload::RequestSpec& spec, const Status&) {
-    ++rejected;
-    if (++terminations[spec.id] > 1) {
-      ++double_terminated;
-    }
   };
   bed.Replay(trace, hooks);
+  // A pre-dispatch rejection is its request's one termination.
+  const auto [completed, errored, rejected, double_terminated] = bed.tally();
 
   double makespan_s = NsToS(bed.sim().Now());
   const serving::ClusterManagerStats& cm = manager.stats();

@@ -132,7 +132,6 @@ RunResult Run(const Options& options, bool aware,
     hash ^= v;
     hash *= 1099511628211ull;
   };
-  std::map<workload::RequestId, int> terminations;
   std::vector<workload::RequestSpec> shifted = trace;
   for (auto& spec : shifted) {
     spec.arrival += t0;
@@ -140,23 +139,18 @@ RunResult Run(const Options& options, bool aware,
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
                           const flowserve::Sequence& seq) {
-    ++result.completed;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
     result.tokens += static_cast<double>(spec.decode_len);
     mix_hash(spec.id * 2);
     mix_hash(static_cast<uint64_t>(seq.finish_time));
     result.ttft_ms.Add(NsToMs(first - spec.arrival));
   };
   hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++result.errored;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
     mix_hash(spec.id * 2 + 1);
   };
   bed.Replay(shifted, hooks);
+  result.completed = bed.tally().completed;
+  result.errored = bed.tally().errored;
+  result.double_terminated = bed.tally().double_terminated;
   result.end_time = bed.sim().Now();
   mix_hash(static_cast<uint64_t>(result.end_time));
   result.timeline_hash = hash;

@@ -136,14 +136,9 @@ RunResult RunVariant(const Options& options, const Variant& variant,
       *hash *= 1099511628211ull;
     }
   };
-  std::map<workload::RequestId, int> terminations;
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs first,
                           const flowserve::Sequence& seq) {
-    ++result.completed;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
     mix(spec.id * 2);
     mix(static_cast<uint64_t>(seq.finish_time));
     if (seq.finish_time <= spec.deadline) {
@@ -151,22 +146,14 @@ RunResult RunVariant(const Options& options, const Variant& variant,
     }
     result.ttft_ms.Add(NsToMs(first - spec.arrival));
   };
-  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++result.errored;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
-    mix(spec.id * 2 + 1);
-  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) { mix(spec.id * 2 + 1); };
   // A pre-dispatch rejection is this request's one termination.
-  hooks.on_reject = [&](const workload::RequestSpec& spec, const Status&) {
-    ++result.rejected;
-    if (++terminations[spec.id] > 1) {
-      ++result.double_terminated;
-    }
-    mix(spec.id * 2 + 1);
-  };
+  hooks.on_reject = hooks.on_error;
   bed.Replay(trace, hooks);
+  result.completed = bed.tally().completed;
+  result.errored = bed.tally().errored;
+  result.rejected = bed.tally().rejected;
+  result.double_terminated = bed.tally().double_terminated;
 
   const serving::FrontendStats& fe = bed.frontend()->stats();
   result.ejections = fe.ejections;

@@ -87,7 +87,22 @@ void Fleet::Link() {
   sim_.Run();
 }
 
+void Fleet::Terminate(workload::RequestId id, int64_t* counter) {
+  ++*counter;
+  if (++terminations_[id] > 1) {
+    ++tally_.double_terminated;
+  }
+}
+
 serving::ResponseHandler Fleet::Handler(const workload::RequestSpec& spec) {
+  serving::ResponseHandler::ErrorCallback on_error =
+      [this, id = spec.id](const Status&) { Terminate(id, &tally_.errored); };
+  if (hooks_.on_error) {
+    on_error = [this, spec](const Status& status) {
+      Terminate(spec.id, &tally_.errored);
+      hooks_.on_error(spec, status);
+    };
+  }
   return {[this, id = spec.id](const flowserve::Sequence& seq) {
             first_tokens_[id] = seq.first_token_time;
           },
@@ -103,13 +118,12 @@ serving::ResponseHandler Fleet::Handler(const workload::RequestSpec& spec) {
             record.prefill_len = spec.prefill_len();
             record.decode_len = spec.decode_len;
             metrics_.Record(record);
+            Terminate(spec.id, &tally_.completed);
             if (hooks_.on_complete) {
               hooks_.on_complete(spec, first_token, seq);
             }
           },
-          hooks_.on_error == nullptr
-              ? serving::ResponseHandler::ErrorCallback()
-              : [this, spec](const Status& status) { hooks_.on_error(spec, status); }};
+          std::move(on_error)};
 }
 
 void Fleet::Submit(const std::vector<workload::RequestSpec>& trace, ReplayHooks hooks) {
@@ -127,8 +141,11 @@ void Fleet::Submit(const std::vector<workload::RequestSpec>& trace, ReplayHooks 
       // A pre-dispatch rejection reports through the Status alone; the
       // handler never fires for it.
       Status status = frontend_->ChatCompletion(request, Handler(spec));
-      if (!status.ok() && hooks_.on_reject) {
-        hooks_.on_reject(spec, status);
+      if (!status.ok()) {
+        Terminate(spec.id, &tally_.rejected);
+        if (hooks_.on_reject) {
+          hooks_.on_reject(spec, status);
+        }
       }
     });
   }

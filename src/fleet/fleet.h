@@ -71,8 +71,17 @@ struct ObsSinks {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Per-request callbacks of a replay, beside the MetricsCollector record.
-// Any member may be null.
+// A replay's terminations. Each submitted request ends in exactly one of
+// completed, errored or rejected; double_terminated counts any beyond that.
+struct ReplayTally {
+  int64_t completed = 0;
+  int64_t errored = 0;   // on_error after acceptance
+  int64_t rejected = 0;  // Frontend pre-dispatch rejections
+  int64_t double_terminated = 0;
+};
+
+// Per-request callbacks of a replay, beside the MetricsCollector record and
+// the tally. Any member may be null.
 struct ReplayHooks {
   // `first_token` is the prefill side's first-token time (a disaggregated
   // completion fires on the decode TE, which never saw the first token).
@@ -105,12 +114,13 @@ class Fleet {
 
   // Schedules every request of `trace` at its arrival: through the Frontend
   // when the fleet has one (ChatRequest deadline = spec.deadline), else to
-  // JE 0. Completions accumulate in metrics().
+  // JE 0. Completions accumulate in metrics(), terminations in tally().
   void Submit(const std::vector<workload::RequestSpec>& trace, ReplayHooks hooks = {});
   // Submit, run the simulator to completion, and hand back the metrics.
   workload::MetricsCollector Replay(const std::vector<workload::RequestSpec>& trace,
                                     ReplayHooks hooks = {});
   const workload::MetricsCollector& metrics() const { return metrics_; }
+  const ReplayTally& tally() const { return tally_; }
 
   const FleetSpec& spec() const { return spec_; }
   sim::Simulator& sim() { return sim_; }
@@ -126,6 +136,7 @@ class Fleet {
 
  private:
   serving::ResponseHandler Handler(const workload::RequestSpec& spec);
+  void Terminate(workload::RequestId id, int64_t* counter);
 
   FleetSpec spec_;
   sim::Simulator sim_;
@@ -141,6 +152,8 @@ class Fleet {
   ReplayHooks hooks_;
   workload::MetricsCollector metrics_;
   std::map<workload::RequestId, TimeNs> first_tokens_;
+  std::map<workload::RequestId, int> terminations_;
+  ReplayTally tally_;
 };
 
 }  // namespace deepserve::fleet

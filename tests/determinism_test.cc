@@ -19,6 +19,7 @@
 #include "model/model_spec.h"
 #include "obs/metrics.h"
 #include "workload/tracegen.h"
+#include "test_util.h"
 
 namespace deepserve {
 namespace {
@@ -56,15 +57,6 @@ struct Outcome {
            metrics_dump == other.metrics_dump;
   }
 };
-
-flowserve::EngineConfig TinyEngine(flowserve::EngineRole role) {
-  flowserve::EngineConfig config;
-  config.model = model::ModelSpec::Tiny1B();
-  config.parallelism = {1, 1, 1};
-  config.role = role;
-  config.kv_block_capacity_override = 4096;
-  return config;
-}
 
 // The cluster flavor a stack runs on. kAllGen2Mix spells out the homogeneous
 // default through the heterogeneous machine_specs path — it must be
@@ -108,7 +100,7 @@ Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
   // One colocated TE (the autoscaler's group) plus a disaggregated
   // prefill/decode pair sharing the dispatch layer.
   auto engine_for = [mixed](flowserve::EngineRole role) {
-    flowserve::EngineConfig config = TinyEngine(role);
+    flowserve::EngineConfig config = SmallEngine(role);
     config.npu_spec_from_placement = mixed;  // TE cost models track their silicon
     return config;
   };
@@ -155,7 +147,6 @@ Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
 
   Outcome out;
   out.requests = static_cast<int64_t>(trace.size());
-  std::map<workload::RequestId, int> terminations;
   uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](uint64_t v) {
     hash ^= v;
@@ -167,22 +158,19 @@ Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
                           const flowserve::Sequence& seq) {
-    ++out.completed;
-    if (++terminations[spec.id] > 1) ++out.double_terminated;
     mix(spec.id);
     mix(static_cast<uint64_t>(seq.first_token_time));
     mix(static_cast<uint64_t>(seq.finish_time));
   };
-  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++out.errored;
-    if (++terminations[spec.id] > 1) ++out.double_terminated;
-    mix(spec.id * 2 + 1);
-  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) { mix(spec.id * 2 + 1); };
   fleet.Submit(trace, hooks);
   sim.RunUntil(t0 + SToNs(40));
   manager.StopAutoscaler();
   sim.Run();
 
+  out.completed = fleet.tally().completed;
+  out.errored = fleet.tally().errored;
+  out.double_terminated = fleet.tally().double_terminated;
   out.timeline_hash = hash;
   out.end_time = sim.Now();
   out.crashes = manager.stats().crashes;

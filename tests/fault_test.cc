@@ -778,23 +778,16 @@ std::vector<workload::RequestSpec> ChaosTrace(int requests, bool slo_deadlines) 
   return trace;
 }
 
-// Tallies every termination; a pre-dispatch rejection (reported through the
+// Lists every termination; a pre-dispatch rejection (reported through the
 // Status alone) counts as the request's one error termination.
-fleet::ReplayHooks OutcomeHooks(ChaosOutcome* outcome, std::vector<int>* terminations) {
-  auto terminate = [outcome, terminations](std::vector<workload::RequestId>* into,
-                                           workload::RequestId id) {
-    into->push_back(id);
-    if (++(*terminations)[id] > 1) {
-      ++outcome->double_terminated;
-    }
-  };
+fleet::ReplayHooks OutcomeHooks(ChaosOutcome* outcome) {
   fleet::ReplayHooks hooks;
-  hooks.on_complete = [outcome, terminate](const workload::RequestSpec& spec, TimeNs,
-                                           const flowserve::Sequence&) {
-    terminate(&outcome->completed, spec.id);
+  hooks.on_complete = [outcome](const workload::RequestSpec& spec, TimeNs,
+                                const flowserve::Sequence&) {
+    outcome->completed.push_back(spec.id);
   };
-  hooks.on_error = [outcome, terminate](const workload::RequestSpec& spec, const Status&) {
-    terminate(&outcome->errored, spec.id);
+  hooks.on_error = [outcome](const workload::RequestSpec& spec, const Status&) {
+    outcome->errored.push_back(spec.id);
   };
   hooks.on_reject = hooks.on_error;
   return hooks;
@@ -878,8 +871,7 @@ ChaosOutcome RunChaos(uint64_t fault_seed, bool enable_faults, bool slo_deadline
   }
 
   ChaosOutcome outcome;
-  std::vector<int> terminations(kRequests + 1, 0);
-  fleet.Submit(ChaosTrace(kRequests, slo_deadlines), OutcomeHooks(&outcome, &terminations));
+  fleet.Submit(ChaosTrace(kRequests, slo_deadlines), OutcomeHooks(&outcome));
   if (autoscale) {
     sim.RunUntil(SToNs(60));
     manager.StopAutoscaler();
@@ -902,6 +894,7 @@ ChaosOutcome RunChaos(uint64_t fault_seed, bool enable_faults, bool slo_deadline
     outcome.sheds += te->engine().stats().shed;
   }
   outcome.end_time = sim.Now();
+  outcome.double_terminated = fleet.tally().double_terminated;
   // Frontend accounting stays conservative under churn.
   const serving::FrontendStats& fe = fleet.frontend()->stats();
   EXPECT_EQ(fe.requests, fe.chat_dispatched + fe.rejected_total());
@@ -1029,9 +1022,7 @@ ChaosOutcome RunHedgeChaos(uint64_t fault_seed) {
   injector.ScheduleAll(faults::FaultInjector::GeneratePlan(fault_seed, plan));
 
   ChaosOutcome outcome;
-  std::vector<int> terminations(kRequests + 1, 0);
-  fleet.Submit(ChaosTrace(kRequests, /*slo_deadlines=*/false),
-               OutcomeHooks(&outcome, &terminations));
+  fleet.Submit(ChaosTrace(kRequests, /*slo_deadlines=*/false), OutcomeHooks(&outcome));
   sim.Run();
   const serving::FrontendStats& fe = fleet.frontend()->stats();
   outcome.crashes = manager.stats().crashes;
@@ -1039,6 +1030,7 @@ ChaosOutcome RunHedgeChaos(uint64_t fault_seed) {
   outcome.hedge_cancels = fe.hedge_cancels;
   outcome.ejections = fe.ejections;
   outcome.end_time = sim.Now();
+  outcome.double_terminated = fleet.tally().double_terminated;
   EXPECT_EQ(fe.requests, fe.chat_dispatched + fe.rejected_total());
   for (serving::TaskExecutor* te : tes) {
     const flowserve::EngineStats& es = te->engine().stats();
