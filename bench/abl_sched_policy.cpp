@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 

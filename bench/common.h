@@ -170,8 +170,6 @@ struct CtrlOptions {
                  "leader lease in ms a standby must wait out before takeover");
   }
 
-  bool replicated() const { return replicas > 1; }
-
   ctrl::CtrlConfig ToConfig() const {
     ctrl::CtrlConfig config;
     config.replicas = replicas;

@@ -29,7 +29,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,19 +91,13 @@ RunResult RunVariant(const Options& options, const Variant& variant,
       bench::TestbedSpec(/*num_machines=*/4, serving::SchedulingPolicy::kLoadOnly);
   fleet_spec.num_jes = 4;
   fleet_spec.frontend = true;
+  fleet_spec.route = options.route.ToConfig(options.seed);
   fleet_spec.route.policy = variant.policy;
-  fleet_spec.route.seed = options.seed;
-  if (variant.eject) {
-    fleet_spec.route.eject_consecutive_errors = options.route.outlier_errors;
-    fleet_spec.route.eject_base = SToNs(options.route.outlier_base_s);
-    fleet_spec.route.eject_max = SToNs(options.route.outlier_max_s);
+  if (!variant.eject) {
+    fleet_spec.route.eject_consecutive_errors = 0;
   }
-  if (variant.hedge) {
-    fleet_spec.route.hedge_floor = MsToNs(options.route.hedge_ms);
-  }
-  if (options.route.retry_budget > 0) {
-    fleet_spec.route.retry_budget = true;
-    fleet_spec.route.retry_floor = options.route.retry_budget;
+  if (!variant.hedge) {
+    fleet_spec.route.hedge_floor = 0;
   }
   fleet::Fleet bed(fleet_spec, bench::ActiveObs());
   flowserve::EngineConfig engine = bench::Engine34BTp4Paper(flowserve::EngineRole::kColocated);

@@ -312,12 +312,7 @@ int main(int argc, char** argv) {
                 cluster_config.enable_superpod ? "on" : "off");
   }
 
-  int64_t errored = 0;
-  int64_t rejected = 0;
-  fleet::ReplayHooks hooks;
-  hooks.on_error = [&errored](const workload::RequestSpec&, const Status&) { ++errored; };
-  hooks.on_reject = [&rejected](const workload::RequestSpec&, const Status&) { ++rejected; };
-  fleet.Submit(trace, hooks);
+  fleet.Submit(trace);
   if (autoscale) {
     // The autoscaler's periodic tick keeps the queue non-empty: run to the
     // trace horizon, stop it, then drain the remaining in-flight work.
@@ -326,6 +321,8 @@ int main(int argc, char** argv) {
   }
   sim.Run();
   const workload::MetricsCollector& metrics = fleet.metrics();
+  const int64_t errored = fleet.tally().errored;
+  const int64_t rejected = fleet.tally().rejected;
 
   std::printf("%s\n", metrics.Summary().c_str());
   if (autoscale) {

@@ -110,14 +110,8 @@ serving::ResponseHandler Fleet::Handler(const workload::RequestSpec& spec) {
             auto it = first_tokens_.find(spec.id);
             const TimeNs first_token =
                 it != first_tokens_.end() ? it->second : seq.first_token_time;
-            workload::RequestRecord record;
-            record.id = spec.id;
-            record.arrival = spec.arrival;
-            record.first_token = first_token;
-            record.completion = seq.finish_time;
-            record.prefill_len = spec.prefill_len();
-            record.decode_len = spec.decode_len;
-            metrics_.Record(record);
+            metrics_.Record({spec.id, spec.arrival, first_token, seq.finish_time,
+                             spec.prefill_len(), spec.decode_len});
             Terminate(spec.id, &tally_.completed);
             if (hooks_.on_complete) {
               hooks_.on_complete(spec, first_token, seq);

@@ -310,12 +310,10 @@ GoldenRun RunReactiveGolden(uint64_t seed) {
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
                           const flowserve::Sequence& seq) {
-    ++out.completed;
     mix(spec.id);
     mix(static_cast<uint64_t>(seq.first_token_time));
     mix(static_cast<uint64_t>(seq.finish_time));
   };
-  hooks.on_error = [&](const workload::RequestSpec&, const Status&) { ++out.errored; };
   fleet.Submit(trace, hooks);
   sim.RunUntil(t0 + SToNs(180));
   manager.StopAutoscaler();
@@ -326,6 +324,8 @@ GoldenRun RunReactiveGolden(uint64_t seed) {
       ++out.final_ready;
     }
   }
+  out.completed = fleet.tally().completed;
+  out.errored = fleet.tally().errored;
   out.scale_ups = manager.stats().scale_ups;
   out.scale_downs = manager.stats().scale_downs;
   out.end_time = sim.Now();

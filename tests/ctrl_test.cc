@@ -392,6 +392,18 @@ fleet::FleetSpec StackSpec(int replicas = 1, DurationNs latency = 0,
   return spec;
 }
 
+// `count` requests MakeRequest(id, prefill, decode), ids from 1, request i
+// arriving at first + (i - 1) * gap.
+std::vector<workload::RequestSpec> Spaced(int count, TimeNs first, DurationNs gap, int64_t prefill,
+                                          int64_t decode) {
+  std::vector<workload::RequestSpec> trace;
+  for (int i = 1; i <= count; ++i) {
+    trace.push_back(MakeRequest(static_cast<workload::RequestId>(i), prefill, decode));
+    trace.back().arrival = first + (i - 1) * gap;
+  }
+  return trace;
+}
+
 TEST_F(CtrlStackTest, TeDirectoryReplayMatchesLiveAfterScaleStopCrash) {
   serving::ClusterManager manager(&sim_, &cluster_, &transfer_);
   manager.ReservePrewarmedPods(2);
@@ -427,15 +439,7 @@ TEST_F(CtrlStackTest, JobTableReplayMatchesLiveAfterTraffic) {
   serving::JobExecutor& je = fleet.je();
   fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), /*colocated=*/2, 0, 0);
 
-  int completed = 0;
-  for (int i = 1; i <= 6; ++i) {
-    fleet.sim().ScheduleAt(MsToNs(50 * i), [&, i] {
-      je.HandleRequest(MakeRequest(i, 128, 16),
-                       {nullptr, [&](const flowserve::Sequence&) { ++completed; }, nullptr});
-    });
-  }
-  fleet.sim().Run();
-  EXPECT_EQ(completed, 6);
+  EXPECT_EQ(fleet.Replay(Spaced(6, MsToNs(50), MsToNs(50), 128, 16)).completed(), 6u);
 
   ctrl::JobTable standby(je.table().domain());
   fleet.ctrl_log()->ReplayInto(&standby);
@@ -637,22 +641,7 @@ TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
   fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), /*colocated=*/2, 0, 0);
 
   constexpr int kRequests = 12;
-  std::map<workload::RequestId, int> terminations;
-  int completed = 0, errored = 0;
-  for (int i = 1; i <= kRequests; ++i) {
-    sim.ScheduleAt(MsToNs(100 * (i - 1)), [&, i] {
-      je.HandleRequest(MakeRequest(i, 256, 32),
-                       {nullptr,
-                        [&, i](const flowserve::Sequence&) {
-                          ++completed;
-                          ++terminations[i];
-                        },
-                        [&, i](const Status&) {
-                          ++errored;
-                          ++terminations[i];
-                        }});
-    });
-  }
+  fleet.Submit(Spaced(kRequests, 0, MsToNs(100), 256, 32));
   // Crash mid-stream: some requests in flight (their completions must park),
   // some yet to arrive (they must buffer, then dispatch at takeover).
   sim.ScheduleAt(MsToNs(650), [&] {
@@ -671,12 +660,9 @@ TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
   EXPECT_GT(je.stats().je_outage_total, 0);
   EXPECT_GE(je.stats().queued_arrivals, 1);
   // Zero token loss: every request terminated, each exactly once, none failed.
-  EXPECT_EQ(completed, kRequests);
-  EXPECT_EQ(errored, 0);
-  ASSERT_EQ(terminations.size(), static_cast<size_t>(kRequests));
-  for (const auto& [id, count] : terminations) {
-    EXPECT_EQ(count, 1) << "request " << id << " terminated " << count << " times";
-  }
+  EXPECT_EQ(fleet.tally().completed, kRequests);
+  EXPECT_EQ(fleet.tally().errored, 0);
+  EXPECT_EQ(fleet.tally().double_terminated, 0);
   EXPECT_TRUE(je.table().outstanding().empty());
 }
 
@@ -748,27 +734,11 @@ TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {
   fleet.AddTe(flowserve::EngineRole::kColocated, SmallEngine(flowserve::EngineRole::kColocated));
 
   constexpr int kRequests = 6;
-  std::map<workload::RequestId, int> terminations;
-  int completed = 0, errored = 0;
-  for (int i = 1; i <= kRequests; ++i) {
-    sim.ScheduleAt(MsToNs(80 * i), [&, i] {
-      je.HandleRequest(MakeRequest(i, 512, 128),
-                       {nullptr,
-                        [&, i](const flowserve::Sequence&) {
-                          ++completed;
-                          ++terminations[i];
-                        },
-                        [&, i](const Status&) {
-                          ++errored;
-                          ++terminations[i];
-                        }});
-    });
-  }
+  fleet.Submit(Spaced(kRequests, MsToNs(80), MsToNs(80), 512, 128));
   sim.ScheduleAt(MsToNs(550), [&] { ASSERT_TRUE(je.CrashLeader().ok()); });
   // The CM leader is alive and kills the TE immediately; the JE's handler
   // (registered by AttachControl) parks the failure until its own takeover.
-  sim.ScheduleAt(MsToNs(600),
-                  [&] { ASSERT_TRUE(manager.KillTe(te_a->id()).ok()); });
+  sim.ScheduleAt(MsToNs(600), [&] { ASSERT_TRUE(manager.KillTe(te_a->id()).ok()); });
   sim.Run();
 
   EXPECT_TRUE(je.leader_up());
@@ -777,12 +747,9 @@ TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {
   EXPECT_EQ(je.colocated_count(), 1u);  // the dead TE left the group
   // Every request terminated exactly once; lost jobs were re-dispatched to
   // the survivor rather than erroring.
-  EXPECT_EQ(completed + errored, kRequests);
-  ASSERT_EQ(terminations.size(), static_cast<size_t>(kRequests));
-  for (const auto& [id, count] : terminations) {
-    EXPECT_EQ(count, 1) << "request " << id << " terminated " << count << " times";
-  }
-  EXPECT_EQ(completed, kRequests);
+  EXPECT_EQ(fleet.tally().completed, kRequests);
+  EXPECT_EQ(fleet.tally().errored, 0);
+  EXPECT_EQ(fleet.tally().double_terminated, 0);
   EXPECT_TRUE(je.table().outstanding().empty());
 }
 
@@ -909,20 +876,18 @@ GoldenRow RunGoldenStack(uint64_t seed) {
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&](const workload::RequestSpec& spec, TimeNs,
                           const flowserve::Sequence& seq) {
-    ++row.completed;
     mix(spec.id);
     mix(static_cast<uint64_t>(seq.first_token_time));
     mix(static_cast<uint64_t>(seq.finish_time));
   };
-  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) {
-    ++row.errored;
-    mix(spec.id * 2 + 1);
-  };
+  hooks.on_error = [&](const workload::RequestSpec& spec, const Status&) { mix(spec.id * 2 + 1); };
   fleet.Submit(trace, hooks);
   sim.RunUntil(t0 + SToNs(40));
   manager.StopAutoscaler();
   sim.Run();
 
+  row.completed = fleet.tally().completed;
+  row.errored = fleet.tally().errored;
   row.crashes = manager.stats().crashes;
   row.replacements = manager.stats().replacements;
   row.scale_ups = manager.stats().scale_ups;

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>

@@ -127,14 +127,9 @@ Outcome RunByHand(const Shape& shape) {
           },
           [&, request](const flowserve::Sequence& seq) {
             auto it = first_tokens.find(request.id);
-            workload::RequestRecord record;
-            record.id = request.id;
-            record.arrival = request.arrival;
-            record.first_token = it != first_tokens.end() ? it->second : seq.first_token_time;
-            record.completion = seq.finish_time;
-            record.prefill_len = request.prefill_len();
-            record.decode_len = request.decode_len;
-            metrics.Record(record);
+            metrics.Record({request.id, request.arrival,
+                            it != first_tokens.end() ? it->second : seq.first_token_time,
+                            seq.finish_time, request.prefill_len(), request.decode_len});
           },
           nullptr};
       if (frontend == nullptr) {

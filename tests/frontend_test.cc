@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "common/time_units.h"

@@ -153,13 +153,11 @@ TEST_F(PlatformTest, DeterministicAcrossRuns) {
     auto trace = workload::TraceGenerator(
                      workload::TraceGenerator::InternalTrace(2.0, 20.0, seed))
                      .Generate();
+    workload::MetricsCollector metrics = fleet.Replay(trace);
     std::vector<TimeNs> completions;
-    fleet::ReplayHooks hooks;
-    hooks.on_complete = [&](const workload::RequestSpec&, TimeNs,
-                            const flowserve::Sequence& seq) {
-      completions.push_back(seq.finish_time);
-    };
-    fleet.Replay(trace, hooks);
+    for (const workload::RequestRecord& record : metrics.records()) {
+      completions.push_back(record.completion);
+    }
     return completions;
   };
   auto a = run_once(7);

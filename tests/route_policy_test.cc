@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,14 +75,12 @@ GoldenRun RunRrGolden(uint64_t seed) {
   fleet::ReplayHooks hooks;
   hooks.on_complete = [&run, &sim](const workload::RequestSpec& spec, TimeNs,
                                    const flowserve::Sequence& seq) {
-    ++run.completed;
     Mix(&run.hash, static_cast<uint64_t>(spec.id) * 3);
     Mix(&run.hash, static_cast<uint64_t>(seq.first_token_time));
     Mix(&run.hash, static_cast<uint64_t>(seq.finish_time));
     run.end_time = sim.Now();
   };
   hooks.on_error = [&run, &sim](const workload::RequestSpec& spec, const Status&) {
-    ++run.errored;
     Mix(&run.hash, static_cast<uint64_t>(spec.id) * 3 + 1);
     Mix(&run.hash, static_cast<uint64_t>(sim.Now()));
     run.end_time = sim.Now();
@@ -92,7 +89,6 @@ GoldenRun RunRrGolden(uint64_t seed) {
   // so this harness pins the same numbers on both sides of the exactly-once
   // semantics change.
   hooks.on_reject = [&run](const workload::RequestSpec& spec, const Status&) {
-    ++run.rejected;
     Mix(&run.hash, static_cast<uint64_t>(spec.id) * 3 + 2);
   };
   fleet.Submit(trace, hooks);
@@ -103,6 +99,9 @@ GoldenRun RunRrGolden(uint64_t seed) {
     DS_CHECK(killed.ok()) << killed.status().ToString();
   });
   sim.Run();
+  run.completed = fleet.tally().completed;
+  run.errored = fleet.tally().errored;
+  run.rejected = fleet.tally().rejected;
   for (size_t i = 0; i < 3; ++i) {
     run.je_requests[i] = fleet.je(i).stats().requests;
   }

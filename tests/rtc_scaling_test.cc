@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "fleet/fleet.h"
@@ -52,11 +51,7 @@ Work Replay(double duration_s) {
       workload::TraceGenerator(workload::TraceGenerator::InternalTrace(kRps, duration_s, 5))
           .Generate();
   work.requests = trace.size();
-  fleet::ReplayHooks hooks;
-  hooks.on_complete = [&work](const workload::RequestSpec&, TimeNs, const flowserve::Sequence&) {
-    ++work.completed;
-  };
-  fleet.Replay(trace, hooks);
+  work.completed = static_cast<int64_t>(fleet.Replay(trace).completed());
   for (const auto& te : fleet.manager().tes()) {
     const rtc::RtcStats& stats = te->engine().rtc().stats();
     work.rtc_examined += stats.lru_leaves_examined;
