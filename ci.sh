@@ -71,6 +71,14 @@ echo "==> hetero smoke: cost-aware vs hetero-blind placement on a Gen1/Gen2 mix"
 # and the aware run replays bit-identically.
 ./build/bench/fig_hetero --smoke >/dev/null
 
+echo "==> examples: each example binary end to end once"
+# Exits non-zero if any example does; deepserve_sim replays a 60 s trace.
+for example in quickstart chat_service disaggregated_serving context_caching fast_scaling \
+    agent_serving; do
+  "./build/examples/${example}" >/dev/null
+done
+./build/examples/deepserve_sim --duration=60 >/dev/null
+
 echo "==> perf_sim smoke: DES core throughput, replay determinism, calendar walk, LRU work and log bounds, BENCH_perf.json"
 # Exits non-zero unless the full-stack 64-TE replay and the 8-TE long_horizon
 # replay are each bit-identical across two runs, the cancellation-heavy

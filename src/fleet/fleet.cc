@@ -23,8 +23,8 @@ Fleet::Fleet(FleetSpec spec, ObsSinks obs) : spec_(std::move(spec)) {
       &sim_, cluster_.get(), transfer_.get(), spec_.scaling, serving::ScalingLatencyModel{},
       ctrl_log_.get());
   for (int i = 0; i < spec_.num_jes; ++i) {
-    jes_.push_back(std::make_unique<serving::JobExecutor>(&sim_, spec_.je, spec_.heatmap,
-                                                          spec_.predictor()));
+    jes_.push_back(std::make_unique<serving::JobExecutor>(
+        &sim_, spec_.je, serving::PdHeatmap::Default(), spec_.predictor()));
     if (replicated) {
       // Each JE's job table gets its own log domain; AttachControl also
       // registers the JE's TE-failure handler with the manager.

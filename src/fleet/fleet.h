@@ -37,7 +37,6 @@
 #include "obs/trace.h"
 #include "serving/cluster_manager.h"
 #include "serving/frontend.h"
-#include "serving/heatmap.h"
 #include "serving/job_executor.h"
 #include "serving/predictor.h"
 #include "serving/route_policy.h"
@@ -54,7 +53,6 @@ struct FleetSpec {
   ctrl::CtrlConfig ctrl;
   serving::JeConfig je;  // every JE runs this config
   int num_jes = 1;
-  serving::PdHeatmap heatmap = serving::PdHeatmap::Default();
   // Builds each JE's decode-length predictor.
   std::function<std::unique_ptr<serving::DecodeLengthPredictor>()> predictor =
       serving::MakeOraclePredictor;
@@ -122,7 +120,6 @@ class Fleet {
   const workload::MetricsCollector& metrics() const { return metrics_; }
   const ReplayTally& tally() const { return tally_; }
 
-  const FleetSpec& spec() const { return spec_; }
   sim::Simulator& sim() { return sim_; }
   hw::Cluster& cluster() { return *cluster_; }
   distflow::TransferEngine& transfer() { return *transfer_; }
