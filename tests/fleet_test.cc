@@ -50,9 +50,10 @@ struct Outcome {
 };
 
 std::vector<workload::RequestSpec> Trace() {
-  auto config = workload::TraceGenerator::InternalTrace(4.0, 20.0, /*seed=*/7);
+  // Long decodes keep every TE busy, so each crash below hits in-flight work.
+  auto config = workload::TraceGenerator::InternalTrace(8.0, 20.0, /*seed=*/7);
   config.prefill = workload::LengthDistribution{512, 0.3, 64, 2048};
-  config.decode = workload::LengthDistribution{64, 0.4, 8, 256};
+  config.decode = workload::LengthDistribution{512, 0.3, 128, 2048};
   return workload::TraceGenerator(config).Generate();
 }
 
