@@ -196,12 +196,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", mix.status().ToString().c_str());
       return 2;
     }
-    for (auto& npu : *mix) {
-      if (npu.name == "ascend-gen1" && flags.npu_cost_gen1 > 0) {
-        npu.cost_per_hour = flags.npu_cost_gen1;
+    for (auto& spec : *mix) {
+      if (spec.name == "ascend-gen1" && flags.npu_cost_gen1 > 0) {
+        spec.cost_per_hour = flags.npu_cost_gen1;
       }
-      if (npu.name == "ascend-gen2" && flags.npu_cost_gen2 > 0) {
-        npu.cost_per_hour = flags.npu_cost_gen2;
+      if (spec.name == "ascend-gen2" && flags.npu_cost_gen2 > 0) {
+        spec.cost_per_hour = flags.npu_cost_gen2;
       }
     }
     cluster_config.machine_specs = *mix;

@@ -113,6 +113,7 @@ class Fleet {
   // Schedules every request of `trace` at its arrival: through the Frontend
   // when the fleet has one (ChatRequest deadline = spec.deadline), else to
   // JE 0. Completions accumulate in metrics(), terminations in tally().
+  // `hooks` replace those of any earlier Submit, for its requests too.
   void Submit(const std::vector<workload::RequestSpec>& trace, ReplayHooks hooks = {});
   // Submit, run the simulator to completion, and hand back the metrics.
   workload::MetricsCollector Replay(const std::vector<workload::RequestSpec>& trace,
