@@ -32,8 +32,10 @@
 // counters per request — LRU leaves examined by the RTC caches and by the
 // JE prompt trees — at the full horizon and at half of it, their ratio
 // (`work_growth`), the JE control log's appended and retained record counts
-// (the retained count at both horizons), its `timeline_hash` and
-// `replay_identical`.
+// (the retained count at both horizons), `prompt_hashes_per_request` (full
+// prompt key chains hashed by the JE and every RTC, per request: the JE
+// hashes each dispatched prompt once and the engines share that chain), its
+// `timeline_hash` and `replay_identical`.
 //
 // Flags (plus the ObsSession observability flags):
 //   --out=PATH   JSON artifact path (default BENCH_perf.json)
@@ -46,8 +48,10 @@
 //                kMaxWorkGrowth x that at half the horizon and (e) the JE
 //                control log retains no more records at the full horizon
 //                than at half of it and (f) the full-stack replay walks at
-//                most kMaxWalkPerInsert calendar links per insert. Wall time
-//                is recorded, never gated.
+//                most kMaxWalkPerInsert calendar links per insert and (g)
+//                long_horizon hashes at most kMaxPromptHashesPerRequest
+//                prompt key chains per request. Wall time is recorded,
+//                never gated.
 
 #include <algorithm>
 #include <chrono>
@@ -425,6 +429,10 @@ constexpr double kLongHorizonSeconds = 1920.0;
 // that grew with history (a rescan of the cache per victim) would roughly
 // double; bounded per-request work stays flat.
 constexpr double kMaxWorkGrowth = 1.25;
+// Bound on full-prompt key chains hashed per request: the JE's one per
+// dispatch. A layer that re-hashed the prompt instead of sharing the JE's
+// chain would add one per request.
+constexpr double kMaxPromptHashesPerRequest = 1.0;
 
 struct LongHorizonResult {
   ReplayResult replay;
@@ -432,6 +440,7 @@ struct LongHorizonResult {
   int64_t je_tree_examined = 0;
   int64_t je_log_appended = 0;  // JE control-log records ever appended
   int64_t je_log_retained = 0;  // records the log still holds at the end
+  int64_t prompt_hashes = 0;    // full-prompt key chains: the JE's plus every RTC's
 
   double PerRequest(int64_t work) const {
     return replay.requests > 0 ? static_cast<double>(work) / static_cast<double>(replay.requests)
@@ -460,9 +469,11 @@ LongHorizonResult RunLongHorizon(double duration_s, uint64_t seed) {
     flowserve::Engine& e = te->engine();
     for (int g = 0; g < e.config().parallelism.dp; ++g) {
       r.rtc_lru_examined += e.rtc(g).stats().lru_leaves_examined;
+      r.prompt_hashes += e.rtc(g).stats().prompt_hashes;
     }
   }
   r.je_tree_examined = bed.je().stats().tree_leaves_examined;
+  r.prompt_hashes += bed.je().stats().prompt_hashes;
   const ctrl::ControlLog* log = bed.je().control_log();
   r.je_log_appended = static_cast<int64_t>(log->next_seq());
   r.je_log_retained = static_cast<int64_t>(log->records().size());
@@ -535,6 +546,7 @@ int RunAll(const Options& opt) {
                       lh.je_tree_examined == lh2.je_tree_examined &&
                       lh.je_log_appended == lh2.je_log_appended &&
                       lh.je_log_retained == lh2.je_log_retained &&
+                      lh.prompt_hashes == lh2.prompt_hashes &&
                       lh.replay.links_walked == lh2.replay.links_walked;
   double lh_req_per_s =
       static_cast<double>(lh.replay.requests) / std::max(lh.replay.perf.wall_s, 1e-9);
@@ -551,6 +563,9 @@ int RunAll(const Options& opt) {
               kMaxWorkGrowth);
   std::printf("long_horizon calendar links walked per insert: %.3f\n",
               lh.replay.WalkPerInsert());
+  const double prompt_hashes_per_request = lh.PerRequest(lh.prompt_hashes);
+  std::printf("long_horizon prompt key chains hashed per request: %.3f (bound %.2f)\n",
+              prompt_hashes_per_request, kMaxPromptHashesPerRequest);
   std::printf("long_horizon JE control log: %" PRId64 " records appended, %" PRId64
               " retained at %.0f sim-s (%" PRId64 " at %.0f sim-s)\n",
               lh.je_log_appended, lh.je_log_retained, kLongHorizonSeconds, half.je_log_retained,
@@ -600,15 +615,15 @@ int RunAll(const Options& opt) {
                "\"work_growth\": %.4f, \"je_log_records_appended\": %" PRId64
                ", \"je_log_records_retained\": %" PRId64
                ", \"half_horizon_je_log_records_retained\": %" PRId64
-               ", \"links_walked_per_insert\": %.4f, \"timeline_hash\": \"%016" PRIx64
-               "\", \"replay_identical\": %s}\n",
+               ", \"links_walked_per_insert\": %.4f, \"prompt_hashes_per_request\": %.4f"
+               ", \"timeline_hash\": \"%016" PRIx64 "\", \"replay_identical\": %s}\n",
                kLongHorizonTes, kLongHorizonRps, kLongHorizonSeconds, lh.replay.requests,
                lh.replay.completed,
                lh.replay.perf.events, lh.replay.perf.wall_s, lh_req_per_s,
                lh.PerRequest(lh.rtc_lru_examined), lh.PerRequest(lh.je_tree_examined),
                half.PerRequest(half.rtc_lru_examined), half.PerRequest(half.je_tree_examined),
                work_growth, lh.je_log_appended, lh.je_log_retained, half.je_log_retained,
-               lh.replay.WalkPerInsert(), lh.replay.timeline_hash,
+               lh.replay.WalkPerInsert(), prompt_hashes_per_request, lh.replay.timeline_hash,
                lh_identical ? "true" : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
@@ -652,6 +667,13 @@ int RunAll(const Options& opt) {
                    kLongHorizonSeconds / 2);
       return 1;
     }
+    if (prompt_hashes_per_request > kMaxPromptHashesPerRequest) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: long_horizon hashed %.3f prompt key chains per request "
+                   "(bound %.2f)\n",
+                   prompt_hashes_per_request, kMaxPromptHashesPerRequest);
+      return 1;
+    }
     if (storm_speedup < 3.0) {
       std::fprintf(stderr,
                    "SMOKE FAIL: cancel_storm speedup %.2fx < 3x over the legacy core "
@@ -662,9 +684,10 @@ int RunAll(const Options& opt) {
     std::fprintf(stderr,
                  "smoke OK: replays bit-identical, cancel_storm %.2fx vs legacy, replay_64te "
                  "%.3f links walked per insert, long_horizon LRU work growth %.3fx, JE log "
-                 "retains %" PRId64 " of %" PRId64 " records\n",
+                 "retains %" PRId64 " of %" PRId64 " records, %.3f prompt hashes per "
+                 "request\n",
                  storm_speedup, replay.WalkPerInsert(), work_growth, lh.je_log_retained,
-                 lh.je_log_appended);
+                 lh.je_log_appended, prompt_hashes_per_request);
   }
   return 0;
 }
@@ -679,8 +702,9 @@ int main(int argc, char** argv) {
   registry.Flag("smoke", &opt.smoke,
                 "fast run; exits non-zero unless replays are bit-identical, the "
                 "slab core beats the legacy heap on cancel_storm, long_horizon LRU "
-                "work per request stays flat, its JE control log stays bounded and "
-                "the full-stack replay's calendar inserts stay O(1)");
+                "work per request stays flat, its JE control log stays bounded, its "
+                "prompts are hashed once per request and the full-stack replay's "
+                "calendar inserts stay O(1)");
   std::vector<char*> obs_args = registry.Parse(argc, argv);
   bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
   return RunAll(opt);

@@ -79,16 +79,17 @@ for example in quickstart chat_service disaggregated_serving context_caching fas
 done
 ./build/examples/deepserve_sim --duration=60 >/dev/null
 
-echo "==> perf_sim smoke: DES core throughput, replay determinism, calendar walk, LRU work and log bounds, BENCH_perf.json"
+echo "==> perf_sim smoke: DES core throughput, replay determinism, calendar walk, LRU work, log and prompt-hash bounds, BENCH_perf.json"
 # Exits non-zero unless the full-stack 64-TE replay and the 8-TE long_horizon
 # replay are each bit-identical across two runs, the cancellation-heavy
 # scenario beats the embedded pre-PR event core by >= 3x events/sec, the
 # 64-TE replay's calendar inserts walk at most 1 chain link each on average
 # (the bucket width follows the dequeue stream), and long_horizon's LRU
 # leaves examined per request at 1920 sim-s are at most 1.25x those at 960
-# sim-s and its JE control log retains no more records at 1920 than at 960
-# sim-s (deterministic counts; wall time is recorded, not gated). Writes the
-# tracked BENCH_perf.json.
+# sim-s, its JE control log retains no more records at 1920 than at 960
+# sim-s and it hashes at most one prompt key chain per request (the JE's;
+# the engines share it) (deterministic counts; wall time is recorded, not
+# gated). Writes the tracked BENCH_perf.json.
 ./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
 
 if [[ "${1:-}" == "--fast" ]]; then

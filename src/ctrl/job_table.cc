@@ -51,27 +51,21 @@ void JobTable::Apply(const LogRecord& record) {
       break;
     }
     case kJobCreated: {
-      DS_CHECK(record.ints.size() >= 7);
+      DS_CHECK(record.ints.size() == 2 && record.request != nullptr);
       const auto job_id = static_cast<workload::JobId>(record.ints[0]);
       DS_CHECK(job_id == next_job_);
       ++next_job_;
       workload::JobRecord job;
       job.id = job_id;
-      job.request = static_cast<workload::RequestId>(record.ints[1]);
+      job.request = record.request->id;
       job.type = workload::JobType::kChatCompletion;
       job.state = workload::JobState::kRunning;
       job.created = record.time;
       job_index_[job.id] = jobs_.size();
       jobs_.push_back(std::move(job));
       Outstanding& outstanding = outstanding_[job_id];
-      outstanding.retries = static_cast<int>(record.ints[2]);
-      outstanding.spec.id = static_cast<workload::RequestId>(record.ints[1]);
-      outstanding.spec.arrival = record.ints[3];
-      outstanding.spec.decode_len = record.ints[4];
-      outstanding.spec.priority = static_cast<int>(record.ints[5]);
-      outstanding.spec.deadline = record.ints[6];
-      outstanding.spec.prompt.assign(record.ints.begin() + 7, record.ints.end());
-      outstanding.spec.context_id = record.str;
+      outstanding.retries = static_cast<int>(record.ints[1]);
+      outstanding.request = record.request;
       break;
     }
     case kJobTeBound: {
@@ -173,17 +167,18 @@ uint64_t JobTable::Fingerprint() const {
   }
   Mix(&hash, outstanding_.size());
   for (const auto& [job_id, outstanding] : outstanding_) {
+    const workload::RequestSpec& spec = *outstanding.request;
     Mix(&hash, static_cast<uint64_t>(job_id));
-    Mix(&hash, static_cast<uint64_t>(outstanding.spec.id));
-    Mix(&hash, static_cast<uint64_t>(outstanding.spec.arrival));
-    Mix(&hash, static_cast<uint64_t>(outstanding.spec.decode_len));
-    Mix(&hash, static_cast<uint64_t>(outstanding.spec.priority));
-    Mix(&hash, static_cast<uint64_t>(outstanding.spec.deadline));
-    Mix(&hash, outstanding.spec.prompt.size());
-    for (TokenId token : outstanding.spec.prompt) {
+    Mix(&hash, static_cast<uint64_t>(spec.id));
+    Mix(&hash, static_cast<uint64_t>(spec.arrival));
+    Mix(&hash, static_cast<uint64_t>(spec.decode_len));
+    Mix(&hash, static_cast<uint64_t>(spec.priority));
+    Mix(&hash, static_cast<uint64_t>(spec.deadline));
+    Mix(&hash, spec.prompt.size());
+    for (TokenId token : spec.prompt) {
       Mix(&hash, static_cast<uint64_t>(token));
     }
-    MixString(&hash, outstanding.spec.context_id);
+    MixString(&hash, spec.context_id);
     Mix(&hash, static_cast<uint64_t>(outstanding.retries));
     Mix(&hash, outstanding.tes.size());
     for (workload::TeId te : outstanding.tes) {

@@ -2,7 +2,7 @@
 // deterministic state machine (ctrl_state_machine.h).
 //
 // Holds everything a standby JE needs to resume: the job/task records, the
-// outstanding map (spec + TEs touched + retry count — enough to re-dispatch
+// outstanding map (request + TEs touched + retry count — enough to re-dispatch
 // or fail a request exactly once), the id counters, the round-robin cursor,
 // and the TE group membership (as ids). Runtime-only artifacts stay in the
 // JobExecutor: ResponseHandlers (re-established connections on takeover),
@@ -31,8 +31,7 @@ class JobTable final : public CtrlStateMachine {
   enum RecordType : int32_t {
     kTeAdded = 1,    // ints: [group, te_id]
     kTeRemoved,      // ints: [te_id] — removed from every group
-    kJobCreated,     // ints: [job_id, request_id, retries, arrival, decode_len,
-                     //        priority, deadline, prompt...]; str = context_id
+    kJobCreated,     // ints: [job_id, retries]; request = the dispatched request
     kJobTeBound,     // ints: [job_id, te_id] — outstanding request touches this TE
     kTaskCreated,    // ints: [task_id, job_id, task_type, te_id]
     kTaskCompleted,  // ints: [task_id]
@@ -45,7 +44,7 @@ class JobTable final : public CtrlStateMachine {
   enum Group : int64_t { kColocated = 0, kPrefill = 1, kDecode = 2 };
 
   struct Outstanding {
-    workload::RequestSpec spec;
+    workload::SharedRequest request;  // shared with the log record and the engines
     std::vector<workload::TeId> tes;  // TEs this request has touched
     int retries = 0;
   };

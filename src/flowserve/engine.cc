@@ -175,17 +175,24 @@ int Engine::PickDpGroup() const {
 
 void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
                     SeqCallback on_complete, SeqErrorCallback on_error) {
+  Submit(RequestRef::Copy(spec), std::move(on_first_token), std::move(on_complete),
+         std::move(on_error));
+}
+
+void Engine::Submit(RequestRef request, SeqCallback on_first_token, SeqCallback on_complete,
+                    SeqErrorCallback on_error) {
   DS_CHECK(!draining_) << "Submit() on a draining engine; the TE stopped admitting";
+  const workload::RequestSpec& spec = *request.spec;
   auto owned = std::make_unique<Sequence>();
   Sequence* seq = owned.get();
   seq->request_id = spec.id;
-  seq->prompt = spec.prompt;
   seq->decode_target = std::max<int64_t>(1, spec.decode_len);
   seq->context_id = spec.context_id;
   seq->priority = spec.priority;
   seq->deadline = spec.deadline;
-  seq->prefill_target = seq->prompt_len();
   seq->arrival = spec.arrival;
+  seq->request = std::move(request);
+  seq->prefill_target = seq->prompt_len();
   seq->submit_time = sim_->Now();
   seq->dp_group = PickDpGroup();
   seq->on_first_token = std::move(on_first_token);
@@ -218,11 +225,14 @@ void Engine::SchedEnqueue(Sequence* seq) {
   DpGroup& group = GroupFor(*seq);
   rtc::MatchInfo match;
   if (config_.enable_prefix_caching) {
+    // Cut once here (a no-op for the JE's chain); the preserve on release
+    // reuses it.
+    seq->request.keys = group.rtc->KeysFor(seq->prompt(), std::move(seq->request.keys));
     if (!seq->context_id.empty()) {
       match = group.rtc->MatchByID(seq->context_id);
     }
     if (!match.hit()) {
-      match = group.rtc->MatchByPrefixToken(seq->prompt);
+      match = group.rtc->MatchByPrefixToken(seq->prompt(), seq->request.keys);
     }
     // Never reuse the full prompt: at least the final token must run through
     // the model to produce the first output.
@@ -271,7 +281,7 @@ void Engine::SchedEnqueue(Sequence* seq) {
   seq->blocks = match.blocks;
   seq->reused_tokens = match.matched_tokens;
   if (config_.enable_pic) {
-    auto pic = group.rtc->MatchPositionIndependent(seq->prompt, match.matched_tokens);
+    auto pic = group.rtc->MatchPositionIndependent(seq->prompt(), match.matched_tokens);
     if (pic.matched_tokens > 0) {
       group.rtc->Acquire(pic.blocks);
       seq->pic_blocks = std::move(pic.blocks);
@@ -302,20 +312,26 @@ void Engine::FinishEnqueue(Sequence* seq) {
 
 Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
                                SeqErrorCallback on_error) {
+  return SubmitPrefilled(RequestRef::Copy(spec), std::move(on_complete), std::move(on_error));
+}
+
+Status Engine::SubmitPrefilled(RequestRef request, SeqCallback on_complete,
+                               SeqErrorCallback on_error) {
   DS_CHECK(config_.role != EngineRole::kPrefillOnly)
       << "prefill-only engines cannot accept prefilled sequences";
+  const workload::RequestSpec& spec = *request.spec;
   auto owned = std::make_unique<Sequence>();
   Sequence* seq = owned.get();
   seq->request_id = spec.id;
-  seq->prompt = spec.prompt;
   seq->decode_target = std::max<int64_t>(1, spec.decode_len);
   seq->context_id = spec.context_id;
   seq->priority = spec.priority;
   seq->deadline = spec.deadline;
+  seq->arrival = spec.arrival;
+  seq->request = std::move(request);
   seq->prefill_target = seq->prompt_len();
   seq->prefilled = seq->prompt_len();
   seq->generated = 1;  // the prefill TE produced the first token
-  seq->arrival = spec.arrival;
   seq->submit_time = sim_->Now();
   seq->dp_group = PickDpGroup();
   seq->on_complete = std::move(on_complete);

@@ -121,13 +121,19 @@ class Engine {
   // Full path: tokenizer -> sched-enqueue (RTC match / populate) -> batch.
   // `on_error` fires (exactly once, instead of on_complete) when the
   // scheduling policy sheds the sequence — e.g. DEADLINE_EXCEEDED under "slo".
+  // The Sequence shares `request` (see RequestRef); the RequestSpec overloads
+  // copy the spec once for direct callers.
+  void Submit(RequestRef request, SeqCallback on_first_token, SeqCallback on_complete,
+              SeqErrorCallback on_error = nullptr);
   void Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
               SeqCallback on_complete, SeqErrorCallback on_error = nullptr);
   // Decode-only TEs: admit a request whose prefill (and first token) happened
   // on a prefill TE; KV for the whole prompt is allocated here as arrived.
   // Fails when this engine cannot hold the context.
+  [[nodiscard]] Status SubmitPrefilled(RequestRef request, SeqCallback on_complete,
+                                       SeqErrorCallback on_error = nullptr);
   [[nodiscard]] Status SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
-                         SeqErrorCallback on_error = nullptr);
+                                       SeqErrorCallback on_error = nullptr);
 
   // Lifecycle -------------------------------------------------------------------
   // Cancels one in-flight request: its KV pins are released (nothing is

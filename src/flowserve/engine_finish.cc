@@ -177,11 +177,15 @@ void Engine::ShedSequence(DpGroup& group, Sequence* seq, const Status& status) {
 
 void Engine::ReleaseSequence(DpGroup& group, Sequence* seq, bool preserve) {
   if (preserve && config_.enable_prefix_caching && !seq->blocks.empty()) {
-    group.rtc->Preserve(seq->prompt, seq->blocks);
+    // A no-op unless this sequence skipped SchedEnqueue (a PD decode side
+    // whose chain was cut at another block size, or a direct caller's).
+    seq->request.keys = group.rtc->KeysFor(seq->prompt(), std::move(seq->request.keys));
+    group.rtc->Preserve(seq->prompt(), seq->blocks, seq->request.keys);
     if (!seq->context_id.empty()) {
       // Intentional discard: a duplicate context id means another sequence
       // already committed this prefix; the private copy simply dies on Free.
-      (void)group.rtc->PreserveById(seq->context_id, seq->prompt, seq->blocks);
+      (void)group.rtc->PreserveById(seq->context_id, seq->prompt(), seq->blocks,
+                                    seq->request.keys);
     }
   }
   group.rtc->Free(seq->blocks);

@@ -4,14 +4,31 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
 #include "rtc/block_pool.h"
+#include "rtc/radix_tree.h"
 #include "workload/request.h"
 
 namespace deepserve::flowserve {
+
+// A request as the JE hands it to a TE: copied once per dispatch into an
+// immutable shared buffer, with its prompt's block-key chain hashed once.
+// The engines it reaches — both TEs of a PD pair — hold these two pointers
+// instead of copies. `keys` may be null or cut at another block size; the
+// engine's RTC then hashes the prompt itself, once per sequence.
+struct RequestRef {
+  workload::SharedRequest spec;
+  rtc::SharedBlockKeys keys;
+
+  // The direct-caller path: one copy of `spec`, keys left to the RTC.
+  static RequestRef Copy(const workload::RequestSpec& spec) {
+    return {std::make_shared<const workload::RequestSpec>(spec), nullptr};
+  }
+};
 
 enum class SeqState {
   kTokenizing,       // in the tokenizer module
@@ -31,7 +48,7 @@ struct Sequence {
   // is soon reused by the next one, so a raw pointer cannot tell them apart.
   uint64_t serial = 0;
   workload::RequestId request_id = 0;
-  std::vector<TokenId> prompt;
+  RequestRef request;  // shared, never copied per engine (see RequestRef)
   int64_t decode_target = 0;
   std::string context_id;  // explicit-cache id ("" = implicit only)
   int priority = 1;        // 0 = interactive, 1 = normal, 2 = batch
@@ -74,7 +91,8 @@ struct Sequence {
   std::function<void(const Sequence&)> on_complete;
   std::function<void(const Sequence&, const Status&)> on_error;
 
-  int64_t prompt_len() const { return static_cast<int64_t>(prompt.size()); }
+  std::span<const TokenId> prompt() const { return request.spec->prompt; }
+  int64_t prompt_len() const { return static_cast<int64_t>(prompt().size()); }
   // Context the KV cache must hold: processed prefix plus generated tokens
   // not already covered by a (post-preemption) recompute target.
   int64_t context_len() const {

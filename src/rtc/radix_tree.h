@@ -85,6 +85,21 @@ inline std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens, 
   return keys;
 }
 
+// A prompt's key chain, tagged with the block size it was cut at, so a
+// consumer with another block size knows to recompute instead of trusting
+// it. The JE hashes each dispatched prompt once into one of these and every
+// layer below shares it.
+struct BlockKeyChain {
+  int block_size = 0;
+  std::vector<BlockKey> keys;
+};
+using SharedBlockKeys = std::shared_ptr<const BlockKeyChain>;
+
+inline SharedBlockKeys HashPrompt(std::span<const TokenId> tokens, int block_size) {
+  return std::make_shared<const BlockKeyChain>(
+      BlockKeyChain{block_size, TokensToBlockKeys(tokens, block_size)});
+}
+
 template <typename V>
 class RadixTree {
  public:

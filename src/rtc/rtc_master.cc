@@ -58,14 +58,22 @@ MatchInfo RtcMaster::BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t 
   return info;
 }
 
-MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt) {
+SharedBlockKeys RtcMaster::KeysFor(std::span<const TokenId> tokens, SharedBlockKeys keys) {
+  if (keys != nullptr && keys->block_size == config_.block_size) {
+    return keys;
+  }
+  ++stats_.prompt_hashes;
+  return HashPrompt(tokens, config_.block_size);
+}
+
+MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
+                                        const SharedBlockKeys& keys) {
   stats_.requested_tokens += static_cast<int64_t>(prompt.size());
   if (!config_.enable_prefix_caching) {
     ++stats_.match_misses;
     return MatchInfo{};
   }
-  std::vector<BlockKey> keys = TokensToBlockKeys(prompt, config_.block_size);
-  auto match = tree_.Match(keys);
+  auto match = tree_.Match(KeysFor(prompt, keys)->keys);
   std::vector<BlockId> blocks;
   TimeNs now = sim_->Now();
   for (auto* node : match.path) {
@@ -440,8 +448,8 @@ void RtcMaster::Free(std::span<const BlockId> blocks) {
   SyncListeners();
 }
 
-void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks) {
-  std::vector<BlockKey> keys = TokensToBlockKeys(tokens, config_.block_size);
+void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockKey> keys,
+                             std::span<const BlockId> blocks) {
   if (keys.empty()) {
     return;
   }
@@ -477,28 +485,30 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
   MaybeArmSwap();
 }
 
-void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks) {
+void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                         const SharedBlockKeys& keys) {
   if (!config_.enable_prefix_caching) {
     return;
   }
-  CommitBlocks(tokens, blocks);
+  CommitBlocks(tokens, KeysFor(tokens, keys)->keys, blocks);
 }
 
 Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                               std::span<const BlockId> blocks) {
+                               std::span<const BlockId> blocks, const SharedBlockKeys& keys) {
   if (id.empty()) {
     return InvalidArgumentError("empty context-cache id");
   }
-  std::vector<BlockKey> keys = TokensToBlockKeys(tokens, config_.block_size);
-  if (keys.empty()) {
+  const SharedBlockKeys shared = KeysFor(tokens, keys);
+  const std::vector<BlockKey>& chain = shared->keys;
+  if (chain.empty()) {
     return InvalidArgumentError("context shorter than one block");
   }
   // Explicit entries also live in the prefix tree so implicit matching still
   // finds them (CommitBlocks is idempotent for existing spans).
-  CommitBlocks(tokens, blocks);
-  id_index_[id].assign(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(keys.size()));
+  CommitBlocks(tokens, chain, blocks);
+  id_index_[id].assign(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(chain.size()));
   id_tokens_[id] =
-      static_cast<int64_t>(keys.size()) * static_cast<int64_t>(config_.block_size);
+      static_cast<int64_t>(chain.size()) * static_cast<int64_t>(config_.block_size);
   return Status::Ok();
 }
 

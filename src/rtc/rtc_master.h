@@ -97,6 +97,10 @@ struct RtcStats {
   // Deterministic work counter: leaves the radix tree's LRU index examined
   // (victim walks plus re-link positioning). Not exported as a metric.
   int64_t lru_leaves_examined = 0;
+  // Deterministic work counter: full-prompt key chains computed here because
+  // the caller handed in none cut at this cache's block size (0 when every
+  // request arrives through the JE). Not exported as a metric.
+  int64_t prompt_hashes = 0;
 
   double TokenHitRate() const {
     return requested_tokens > 0
@@ -117,7 +121,11 @@ class RtcMaster {
   void ClearListeners() { listeners_.clear(); }
 
   // ---- Table 1: match APIs -------------------------------------------------
-  MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt);
+  // `keys`, when given and cut at this cache's block size, is the prompt's
+  // key chain; otherwise the prompt is hashed here (RtcStats::prompt_hashes).
+  // The same holds for Preserve and PreserveById.
+  MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt,
+                               const SharedBlockKeys& keys = nullptr);
   MatchInfo MatchByID(const std::string& id);
 
   // Position-independent lookup over the prompt's full blocks starting at
@@ -159,10 +167,16 @@ class RtcMaster {
   // least tokens.size()/block_size entries. Duplicate spans (e.g. two
   // concurrent identical prefills) keep the first commit; later private
   // duplicates simply die on Free.
-  void Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks);
+  void Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                const SharedBlockKeys& keys = nullptr);
   // Explicit context caching: additionally registers the prefix under `id`.
   [[nodiscard]] Status PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                      std::span<const BlockId> blocks);
+                                    std::span<const BlockId> blocks,
+                                    const SharedBlockKeys& keys = nullptr);
+  // `keys` when it was cut at this cache's block size, else the chain of
+  // `tokens` computed here: a sequence calls this once and hands the result
+  // to its match and preserve calls.
+  SharedBlockKeys KeysFor(std::span<const TokenId> tokens, SharedBlockKeys keys);
   bool DropById(const std::string& id);
 
   // ---- introspection -------------------------------------------------------
@@ -190,7 +204,8 @@ class RtcMaster {
   MatchInfo BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens);
   // Lazily registers this cache's trace track; -1 when tracing is disabled.
   int TracePid();
-  void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks);
+  void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockKey> keys,
+                    std::span<const BlockId> blocks);
   void SyncListeners();
   void MaybeArmSwap();
   void SwapScan();

@@ -63,12 +63,13 @@ void JobExecutor::AttachControl(ctrl::ControlLog* log, ClusterManager* cm) {
   }
 }
 
-void JobExecutor::AppendJob(int32_t type, std::vector<int64_t> ints, std::string str) {
+void JobExecutor::AppendJob(int32_t type, std::vector<int64_t> ints,
+                            workload::SharedRequest request) {
   ctrl::LogRecord record;
   record.domain = table_.domain();
   record.type = type;
   record.ints = std::move(ints);
-  record.str = std::move(str);
+  record.request = std::move(request);
   log_->Append(std::move(record));
 }
 
@@ -84,6 +85,16 @@ void JobExecutor::RunOrDefer(std::function<void()> op) {
   }
   ++stats_.deferred_ops;
   deferred_ops_.push_back(std::move(op));
+}
+
+JobExecutor::SeqCallback JobExecutor::Deferred(SeqCallback op) {
+  return [this, op = std::move(op)](const flowserve::Sequence& seq) {
+    if (!down_) {
+      op(seq);
+      return;
+    }
+    RunOrDefer([op, snapshot = seq] { op(snapshot); });
+  };
 }
 
 void JobExecutor::AddColocatedTe(TaskExecutor* te) {
@@ -231,16 +242,28 @@ TaskExecutor* JobExecutor::LoadAware(const std::vector<TaskExecutor*>& tes) {
   return best;
 }
 
-TaskExecutor* JobExecutor::LocalityAware(const workload::RequestSpec& spec, PromptTree& tree,
+TaskExecutor* JobExecutor::LocalityAware(const rtc::BlockKeyChain& keys, PromptTree& tree,
                                          const std::vector<TaskExecutor*>& tes) {
   // select_tes_prefix_match: deepest global-tree node tagged with each TE
-  // along the prompt's key path = that TE's preserved-prefix length.
-  auto keys = rtc::TokensToBlockKeys(spec.prompt, config_.block_size);
-  auto match = tree.Match(keys);
-  std::map<TeId, size_t> depth_by_te;
-  auto tally = [&](PromptTree::Node* node, size_t depth) {
+  // along the prompt's key path = that TE's preserved-prefix length. The
+  // tally is flat: one (id, depth) slot per candidate, sorted by id.
+  auto match = tree.Match(keys.keys);
+  using Slot = std::pair<TeId, size_t>;
+  std::vector<Slot> depth_by_te;
+  depth_by_te.reserve(tes.size());
+  for (TaskExecutor* te : tes) {
+    depth_by_te.emplace_back(te->id(), 0);
+  }
+  std::sort(depth_by_te.begin(), depth_by_te.end());
+  auto slot = [&depth_by_te](TeId te) -> size_t* {
+    auto it = std::lower_bound(depth_by_te.begin(), depth_by_te.end(), Slot{te, 0});
+    return it != depth_by_te.end() && it->first == te ? &it->second : nullptr;
+  };
+  auto tally = [&](const PromptTree::Node* node, size_t depth) {
     for (TeId te : node->value.tes) {
-      depth_by_te[te] = std::max(depth_by_te[te], depth);
+      if (size_t* deepest = slot(te)) {
+        *deepest = std::max(*deepest, depth);
+      }
     }
   };
   for (PromptTree::Node* node : match.path) {
@@ -253,8 +276,7 @@ TaskExecutor* JobExecutor::LocalityAware(const workload::RequestSpec& spec, Prom
   TaskExecutor* best = nullptr;
   size_t best_depth = 0;
   for (TaskExecutor* te : tes) {
-    auto it = depth_by_te.find(te->id());
-    size_t depth = it == depth_by_te.end() ? 0 : it->second;
+    size_t depth = *slot(te->id());
     if (best == nullptr || depth > best_depth ||
         (depth == best_depth && te->queue_depth() < best->queue_depth())) {
       best = te;
@@ -267,7 +289,7 @@ TaskExecutor* JobExecutor::LocalityAware(const workload::RequestSpec& spec, Prom
   return best;
 }
 
-TaskExecutor* JobExecutor::SelectFrom(const workload::RequestSpec& spec, PromptTree& tree,
+TaskExecutor* JobExecutor::SelectFrom(const rtc::BlockKeyChain& keys, PromptTree& tree,
                                       const std::vector<TaskExecutor*>& tes) {
   DS_CHECK(!tes.empty());
   switch (config_.policy) {
@@ -279,14 +301,14 @@ TaskExecutor* JobExecutor::SelectFrom(const workload::RequestSpec& spec, PromptT
       return LoadAware(tes);
     case SchedulingPolicy::kLocalityOnly:
       ++stats_.locality_decisions;
-      return LocalityAware(spec, tree, tes);
+      return LocalityAware(keys, tree, tes);
     case SchedulingPolicy::kPdAware:
       ++stats_.load_decisions;
       return LoadAware(tes);
     case SchedulingPolicy::kCombined:
       if (IsLoadBalanced(tes)) {
         ++stats_.locality_decisions;
-        return LocalityAware(spec, tree, tes);
+        return LocalityAware(keys, tree, tes);
       }
       ++stats_.load_decisions;
       return LoadAware(tes);
@@ -300,16 +322,19 @@ void JobExecutor::TrimTree(PromptTree& tree) {
   }
 }
 
-void JobExecutor::RecordRoute(const workload::RequestSpec& spec, PromptTree& tree, TeId te) {
-  auto keys = rtc::TokensToBlockKeys(spec.prompt, config_.block_size);
-  if (keys.empty()) {
+void JobExecutor::RecordRoute(const rtc::BlockKeyChain& keys, PromptTree& tree, TeId te) {
+  if (keys.keys.empty()) {
     return;
   }
-  auto* node = tree.Insert(keys, sim_->Now());
+  auto* node = tree.Insert(keys.keys, sim_->Now());
   // Tag the full path: every prefix of this prompt now lives on `te`.
   for (PromptTree::Node* cursor = node; cursor != nullptr && cursor->parent != nullptr;
        cursor = cursor->parent) {
-    cursor->value.tes.insert(te);
+    std::vector<TeId>& tes = cursor->value.tes;
+    auto it = std::lower_bound(tes.begin(), tes.end(), te);
+    if (it == tes.end() || *it != te) {
+      tes.insert(it, te);
+    }
   }
   TrimTree(tree);
 }
@@ -395,7 +420,7 @@ size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
   }
   std::vector<JobId> hits;
   for (const auto& [job_id, outstanding] : table_.outstanding()) {
-    if (outstanding.spec.id == request_id) {
+    if (outstanding.request->id == request_id) {
       hits.push_back(job_id);
     }
   }
@@ -456,7 +481,7 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
   if (!table_.IsOutstanding(job_id)) {
     return;  // already completed, already failed, or owned by the retry path
   }
-  workload::RequestId request = table_.outstanding().at(job_id).spec.id;
+  workload::RequestId request = table_.outstanding().at(job_id).request->id;
   ResponseHandler handler;
   auto it = handlers_.find(job_id);
   if (it != handlers_.end()) {
@@ -478,19 +503,12 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
 void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler handler,
                            int retries) {
   const JobId job_id = table_.next_job();
-  {
-    // kJobCreated carries the full spec: a standby replaying the log can
-    // re-dispatch or fail this request without the leader's memory.
-    std::vector<int64_t> ints = {static_cast<int64_t>(job_id),
-                                 static_cast<int64_t>(spec.id),
-                                 retries,
-                                 spec.arrival,
-                                 spec.decode_len,
-                                 spec.priority,
-                                 spec.deadline};
-    ints.insert(ints.end(), spec.prompt.begin(), spec.prompt.end());
-    AppendJob(ctrl::JobTable::kJobCreated, std::move(ints), spec.context_id);
-  }
+  // This dispatch's one copy of the request. kJobCreated carries it, so a
+  // standby replaying the log can re-dispatch or fail the request without
+  // the leader's memory; the job tables and the engines share it.
+  flowserve::RequestRef request = flowserve::RequestRef::Copy(spec);
+  ++stats_.prompt_copies;
+  AppendJob(ctrl::JobTable::kJobCreated, {static_cast<int64_t>(job_id), retries}, request.spec);
   handlers_[job_id] = std::move(handler);
 
   if (config_.enforce_deadlines && spec.deadline > 0 && sim_->Now() > spec.deadline) {
@@ -519,6 +537,12 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     FailJob(job_id, UnavailableError("no ready TEs for request " + std::to_string(spec.id)));
     return;
   }
+
+  // The prompt's one key chain: locality routing, the route record and the
+  // engines' RTCs all use it.
+  request.keys = rtc::HashPrompt(spec.prompt, config_.block_size);
+  ++stats_.prompt_hashes;
+  const rtc::BlockKeyChain& keys = *request.keys;
 
   // ---- PD_aware: choose the TE sub-group -----------------------------------
   bool use_disagg = false;
@@ -581,16 +605,14 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
   ResponseHandler& stored = handlers_.at(job_id);
   auto complete_job = [this, job_id,
                        on_complete = stored.on_complete](const flowserve::Sequence& seq) {
-    RunOrDefer([this, job_id, on_complete, seq] {
-      if (!table_.IsOutstanding(job_id)) {
-        return;
-      }
-      AppendJob(ctrl::JobTable::kJobCompleted, {static_cast<int64_t>(job_id)});
-      handlers_.erase(job_id);
-      if (on_complete) {
-        on_complete(seq);
-      }
-    });
+    if (!table_.IsOutstanding(job_id)) {
+      return;
+    }
+    AppendJob(ctrl::JobTable::kJobCompleted, {static_cast<int64_t>(job_id)});
+    handlers_.erase(job_id);
+    if (on_complete) {
+      on_complete(seq);
+    }
   };
 
   // The TE-level handler: task bookkeeping plus this job's termination paths.
@@ -598,15 +620,15 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
   // exactly one of on_complete / on_error ever reaches the caller.
   ResponseHandler te_handler;
   te_handler.on_first_token = stored.on_first_token;
-  te_handler.on_complete = std::move(complete_job);
+  te_handler.on_complete = Deferred(std::move(complete_job));
   te_handler.on_error = [this, job_id](const Status& status) {
     RunOrDefer([this, job_id, status] { FailJob(job_id, status); });
   };
 
   if (use_disagg) {
     ++stats_.routed_disaggregated;
-    TaskExecutor* p = SelectFrom(spec, prefill_tree_, prefill);
-    RecordRoute(spec, prefill_tree_, p->id());
+    TaskExecutor* p = SelectFrom(keys, prefill_tree_, prefill);
+    RecordRoute(keys, prefill_tree_, p->id());
     AppendJob(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(p->id())});
     if (obs::Tracer* t = sim_->tracer()) {
@@ -615,11 +637,11 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "disaggregated"),
                   obs::Arg("prefill_te", static_cast<int64_t>(p->id()))});
     }
-    DispatchDisaggregated(p, spec, std::move(te_handler));
+    DispatchDisaggregated(p, std::move(request), std::move(te_handler));
   } else {
     ++stats_.routed_colocated;
-    TaskExecutor* te = SelectFrom(spec, colocated_tree_, coloc);
-    RecordRoute(spec, colocated_tree_, te->id());
+    TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
+    RecordRoute(keys, colocated_tree_, te->id());
     AppendJob(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(te->id())});
     if (obs::Tracer* t = sim_->tracer()) {
@@ -628,28 +650,26 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "colocated"),
                   obs::Arg("te", static_cast<int64_t>(te->id()))});
     }
-    DispatchColocated(te, spec, std::move(te_handler));
+    DispatchColocated(te, std::move(request), std::move(te_handler));
   }
   AppendJob(ctrl::JobTable::kRrAdvanced);
 }
 
-void JobExecutor::DispatchColocated(TaskExecutor* te, const workload::RequestSpec& spec,
+void JobExecutor::DispatchColocated(TaskExecutor* te, flowserve::RequestRef request,
                                     ResponseHandler handler) {
   JobId job_id = table_.jobs().back().id;
   TaskId task_id = NewTask(job_id, TaskType::kUnified, te->id());
-  handler.on_complete = [this, task_id, cb = std::move(handler.on_complete)](
-                            const flowserve::Sequence& seq) {
-    RunOrDefer([this, task_id, cb, seq] {
-      AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(task_id)});
-      cb(seq);
-    });
-  };
-  te->SubmitUnified(spec, std::move(handler));
+  handler.on_complete = Deferred([this, task_id, cb = std::move(handler.on_complete)](
+                                     const flowserve::Sequence& seq) {
+    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(task_id)});
+    cb(seq);
+  });
+  te->SubmitUnified(std::move(request), std::move(handler));
 }
 
-void JobExecutor::DispatchDisaggregated(TaskExecutor* prefill_te,
-                                        const workload::RequestSpec& spec,
+void JobExecutor::DispatchDisaggregated(TaskExecutor* prefill_te, flowserve::RequestRef request,
                                         ResponseHandler handler) {
+  const workload::RequestSpec& spec = *request.spec;
   JobId job_id = table_.jobs().back().id;
   std::vector<TaskExecutor*> decode = ReadyTes(decode_);
   if (config_.cost_aware) {
@@ -661,16 +681,14 @@ void JobExecutor::DispatchDisaggregated(TaskExecutor* prefill_te,
             {static_cast<int64_t>(job_id), static_cast<int64_t>(decode_te->id())});
   TaskId prefill_task_id = NewTask(job_id, TaskType::kPrefill, prefill_te->id());
   (void)NewTask(job_id, TaskType::kDecode, decode_te->id());
-  handler.on_first_token = [this, prefill_task_id, cb = std::move(handler.on_first_token)](
-                               const flowserve::Sequence& seq) {
-    RunOrDefer([this, prefill_task_id, cb, seq] {
-      AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(prefill_task_id)});
-      if (cb) {
-        cb(seq);
-      }
-    });
-  };
-  prefill_te->SubmitPrefill(spec, decode_te, std::move(handler));
+  handler.on_first_token = Deferred([this, prefill_task_id, cb = std::move(handler.on_first_token)](
+                                        const flowserve::Sequence& seq) {
+    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(prefill_task_id)});
+    if (cb) {
+      cb(seq);
+    }
+  });
+  prefill_te->SubmitPrefill(std::move(request), decode_te, std::move(handler));
 }
 
 void JobExecutor::OnTeFailure(TeId id) {
@@ -688,7 +706,7 @@ void JobExecutor::OnTeFailure(TeId id) {
   RemoveTe(id);
   // Collect jobs whose tasks ran on the dead TE, then re-dispatch each.
   struct Retry {
-    workload::RequestSpec spec;
+    workload::SharedRequest request;
     std::vector<TeId> tes;
     int retries = 0;
     ResponseHandler handler;
@@ -704,7 +722,7 @@ void JobExecutor::OnTeFailure(TeId id) {
   for (JobId job_id : hit_jobs) {
     const ctrl::JobTable::Outstanding& outstanding = table_.outstanding().at(job_id);
     Retry retry;
-    retry.spec = outstanding.spec;
+    retry.request = outstanding.request;
     retry.tes = outstanding.tes;
     retry.retries = outstanding.retries;
     auto it = handlers_.find(job_id);
@@ -727,17 +745,17 @@ void JobExecutor::OnTeFailure(TeId id) {
       }
       for (TaskExecutor* te : colocated_) {
         if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.spec.id);
+          (void)te->engine().Cancel(retry.request->id);
         }
       }
       for (TaskExecutor* te : prefill_) {
         if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.spec.id);
+          (void)te->engine().Cancel(retry.request->id);
         }
       }
       for (TaskExecutor* te : decode_) {
         if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.spec.id);
+          (void)te->engine().Cancel(retry.request->id);
         }
       }
     }
@@ -756,12 +774,12 @@ void JobExecutor::OnTeFailure(TeId id) {
       ++stats_.errors;
       if (obs::Tracer* t = sim_->tracer()) {
         t->Instant(sim_->Now(), TracePid(), 0, "je.error",
-                   {obs::Arg("req", static_cast<int64_t>(retry.spec.id)),
+                   {obs::Arg("req", static_cast<int64_t>(retry.request->id)),
                     obs::Arg("code", "aborted"),
                     obs::Arg("retries", static_cast<int64_t>(retry.retries))});
       }
       if (retry.handler.on_error) {
-        retry.handler.on_error(AbortedError("request " + std::to_string(retry.spec.id) +
+        retry.handler.on_error(AbortedError("request " + std::to_string(retry.request->id) +
                                             " dropped after " + std::to_string(retry.retries) +
                                             " re-dispatches"));
       }
@@ -770,10 +788,10 @@ void JobExecutor::OnTeFailure(TeId id) {
     ++stats_.retries;
     if (obs::Tracer* t = sim_->tracer()) {
       t->Instant(sim_->Now(), TracePid(), 0, "je.redispatch",
-                 {obs::Arg("req", static_cast<int64_t>(retry.spec.id)),
+                 {obs::Arg("req", static_cast<int64_t>(retry.request->id)),
                   obs::Arg("attempt", static_cast<int64_t>(retry.retries + 1))});
     }
-    Dispatch(retry.spec, std::move(retry.handler), retry.retries + 1);
+    Dispatch(*retry.request, std::move(retry.handler), retry.retries + 1);
   }
 }
 
@@ -805,7 +823,7 @@ Status JobExecutor::CrashLeader() {
     }
     for (JobId job_id : doomed) {
       const ctrl::JobTable::Outstanding& outstanding = table_.outstanding().at(job_id);
-      workload::RequestId request = outstanding.spec.id;
+      workload::RequestId request = outstanding.request->id;
       std::vector<TeId> tes = outstanding.tes;
       for (TeId te_id : tes) {
         for (TaskExecutor* te : colocated_) {

@@ -28,7 +28,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -98,6 +97,13 @@ struct JeStats {
   int64_t locality_decisions = 0;
   int64_t load_decisions = 0;
   int64_t locality_hits = 0;  // dispatches with a non-empty prefix match
+  // Deterministic work counters: prompt copies (one immutable RequestSpec
+  // per dispatch) and full-prompt key chains hashed. Both are one per routed
+  // dispatch: the engines below share the copy and the chain (RtcStats::
+  // prompt_hashes counts any chain an engine had to cut itself). Not
+  // exported as metrics.
+  int64_t prompt_copies = 0;
+  int64_t prompt_hashes = 0;
   // Deterministic work counter: leaves the prompt trees' LRU indexes examined
   // while recording routes and trimming. Not exported as a metric.
   int64_t tree_leaves_examined = 0;
@@ -202,7 +208,7 @@ class JobExecutor {
 
  private:
   struct TePresence {
-    std::set<TeId> tes;
+    std::vector<TeId> tes;  // sorted, unique
     TePresence SplitTail(size_t) { return *this; }
   };
   using PromptTree = rtc::RadixTree<TePresence>;
@@ -210,13 +216,13 @@ class JobExecutor {
   // Algorithm 1 pieces.
   bool PreferDisaggregated(const workload::RequestSpec& spec);
   bool IsLoadBalanced(const std::vector<TaskExecutor*>& tes) const;
-  TaskExecutor* LocalityAware(const workload::RequestSpec& spec, PromptTree& tree,
+  TaskExecutor* LocalityAware(const rtc::BlockKeyChain& keys, PromptTree& tree,
                               const std::vector<TaskExecutor*>& tes);
   static TaskExecutor* LoadAware(const std::vector<TaskExecutor*>& tes);
-  TaskExecutor* SelectFrom(const workload::RequestSpec& spec, PromptTree& tree,
+  TaskExecutor* SelectFrom(const rtc::BlockKeyChain& keys, PromptTree& tree,
                            const std::vector<TaskExecutor*>& tes);
 
-  void RecordRoute(const workload::RequestSpec& spec, PromptTree& tree, TeId te);
+  void RecordRoute(const rtc::BlockKeyChain& keys, PromptTree& tree, TeId te);
   void TrimTree(PromptTree& tree);
   std::vector<TaskExecutor*> ReadyTes(const std::vector<TaskExecutor*>& tes) const;
   // The cost_aware narrowing pass (see JeConfig::cost_aware).
@@ -231,18 +237,22 @@ class JobExecutor {
   // map). No-op when the job already finished or the retry path owns it.
   void FailJob(JobId job_id, const Status& status);
 
-  void DispatchColocated(TaskExecutor* te, const workload::RequestSpec& spec,
+  void DispatchColocated(TaskExecutor* te, flowserve::RequestRef request,
                          ResponseHandler handler);
-  void DispatchDisaggregated(TaskExecutor* prefill_te, const workload::RequestSpec& spec,
+  void DispatchDisaggregated(TaskExecutor* prefill_te, flowserve::RequestRef request,
                              ResponseHandler handler);
 
   TaskId NewTask(JobId job, TaskType type, TeId te);
   // Appends one JobTable record to the control log.
-  void AppendJob(int32_t type, std::vector<int64_t> ints = {}, std::string str = {});
+  void AppendJob(int32_t type, std::vector<int64_t> ints = {},
+                 workload::SharedRequest request = nullptr);
   // Runs a completion/failure continuation now, or parks it until the next
   // RecoverLeader() while this JE's leader is down. With a single-replica log
   // a parked op is dropped instead — no takeover will ever come.
   void RunOrDefer(std::function<void()> op);
+  // RunOrDefer for an engine callback: while the leader is up, `op` runs at
+  // once on the engine's live Sequence; a parked op holds a snapshot of it.
+  SeqCallback Deferred(SeqCallback op);
   // Lazily registers the JE's trace track; -1 when tracing is disabled.
   int TracePid();
 

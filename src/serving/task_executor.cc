@@ -82,6 +82,10 @@ void TaskExecutor::InstallKvSend() {
 }
 
 void TaskExecutor::SubmitUnified(const workload::RequestSpec& spec, ResponseHandler handler) {
+  SubmitUnified(flowserve::RequestRef::Copy(spec), std::move(handler));
+}
+
+void TaskExecutor::SubmitUnified(flowserve::RequestRef request, ResponseHandler handler) {
   DS_CHECK(role() == flowserve::EngineRole::kColocated)
       << "unified tasks need a PD-colocated engine";
   flowserve::Engine::SeqErrorCallback on_error;
@@ -91,26 +95,32 @@ void TaskExecutor::SubmitUnified(const workload::RequestSpec& spec, ResponseHand
     on_error = [err = std::move(handler.on_error)](const flowserve::Sequence&,
                                                    const Status& status) { err(status); };
   }
-  engine_->Submit(spec, std::move(handler.on_first_token), std::move(handler.on_complete),
-                  std::move(on_error));
+  engine_->Submit(std::move(request), std::move(handler.on_first_token),
+                  std::move(handler.on_complete), std::move(on_error));
 }
 
 void TaskExecutor::SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor* decode_te,
                                  ResponseHandler handler) {
+  SubmitPrefill(flowserve::RequestRef::Copy(spec), decode_te, std::move(handler));
+}
+
+void TaskExecutor::SubmitPrefill(flowserve::RequestRef request, TaskExecutor* decode_te,
+                                 ResponseHandler handler) {
   DS_CHECK(role() == flowserve::EngineRole::kPrefillOnly);
   DS_CHECK(decode_te != nullptr);
   DS_CHECK(decode_te->role() == flowserve::EngineRole::kDecodeOnly);
-  handoffs_[spec.id] = PendingHandoff{decode_te, spec, std::move(handler.on_complete),
-                                      std::move(handler.on_error)};
+  handoffs_[request.spec->id] = PendingHandoff{decode_te, request, std::move(handler.on_complete),
+                                               std::move(handler.on_error)};
   engine_->Submit(
-      spec, std::move(handler.on_first_token),
+      std::move(request), std::move(handler.on_first_token),
       [this](const flowserve::Sequence& seq) {
         // Prefill finished and KV delivered: start the decode task.
         auto it = handoffs_.find(seq.request_id);
         DS_CHECK(it != handoffs_.end());
         PendingHandoff handoff = std::move(it->second);
         handoffs_.erase(it);
-        handoff.decode_te->AcceptPrefilled(handoff.spec, std::move(handoff.on_complete),
+        handoff.decode_te->AcceptPrefilled(std::move(handoff.request),
+                                           std::move(handoff.on_complete),
                                            std::move(handoff.on_error));
       },
       [this](const flowserve::Sequence& seq, const Status& status) {
@@ -175,7 +185,7 @@ void TaskExecutor::ArmDrainWait() {
   });
 }
 
-void TaskExecutor::AcceptPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
+void TaskExecutor::AcceptPrefilled(flowserve::RequestRef request, SeqCallback on_complete,
                                    ResponseHandler::ErrorCallback on_error) {
   if (!ready() && state_ != TeState::kDraining) {
     return;  // decode TE died mid-hand-off; the JE failure path retries
@@ -188,13 +198,13 @@ void TaskExecutor::AcceptPrefilled(const workload::RequestSpec& spec, SeqCallbac
       err(status);
     };
   }
-  Status status = engine_->SubmitPrefilled(spec, on_complete, std::move(shed_error));
+  Status status = engine_->SubmitPrefilled(request, on_complete, std::move(shed_error));
   if (status.code() == StatusCode::kResourceExhausted) {
     // Decode side momentarily out of KV: retry shortly (simple backpressure).
-    sim_->ScheduleAfter(MsToNs(10),
-                        [this, spec, cb = std::move(on_complete), err = std::move(on_error)] {
-                          AcceptPrefilled(spec, std::move(cb), std::move(err));
-                        });  // ready() is re-checked on entry, so a dead TE stops the retry loop
+    sim_->ScheduleAfter(MsToNs(10), [this, request = std::move(request),
+                                     cb = std::move(on_complete), err = std::move(on_error)] {
+      AcceptPrefilled(request, std::move(cb), std::move(err));
+    });  // ready() is re-checked on entry, so a dead TE stops the retry loop
   } else if (!status.ok() && on_error) {
     on_error(status);  // non-retryable rejection: surface it instead of dropping
   }

@@ -104,10 +104,15 @@ class TaskExecutor {
 
   // ---- task entry points -----------------------------------------------------
   using SeqCallback = flowserve::Engine::SeqCallback;
+  // The engines share `request` (see flowserve::RequestRef); the RequestSpec
+  // overloads copy the spec once for direct callers.
   // PD-colocated: one unified task runs the whole request here.
+  void SubmitUnified(flowserve::RequestRef request, ResponseHandler handler);
   void SubmitUnified(const workload::RequestSpec& spec, ResponseHandler handler);
   // PD-disaggregated: prefill here, then KV hand-off to `decode_te`, where the
   // decode task finishes the request. `on_complete` fires from the decode TE.
+  void SubmitPrefill(flowserve::RequestRef request, TaskExecutor* decode_te,
+                     ResponseHandler handler);
   void SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor* decode_te,
                      ResponseHandler handler);
 
@@ -121,7 +126,7 @@ class TaskExecutor {
   int64_t queue_depth() const { return engine_->queue_depth(); }
 
  private:
-  void AcceptPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
+  void AcceptPrefilled(flowserve::RequestRef request, SeqCallback on_complete,
                        ResponseHandler::ErrorCallback on_error);
   void InstallKvSend();
   void ArmDrainWait();
@@ -136,7 +141,7 @@ class TaskExecutor {
 
   struct PendingHandoff {
     TaskExecutor* decode_te = nullptr;
-    workload::RequestSpec spec;
+    flowserve::RequestRef request;
     SeqCallback on_complete;
     ResponseHandler::ErrorCallback on_error;
   };

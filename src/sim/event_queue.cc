@@ -121,22 +121,50 @@ EventQueue::Handle EventQueue::Insert(TimeNs t, common::SmallFn fn) {
   ++ring_live_;
   // Grow on occupancy only. A degenerate chain walk means the width does not
   // fit the live distribution (e.g. a dense cluster far from the window that
-  // the dequeue stream has not reached yet): respread at the same ring size,
-  // but only when resampling the live population moves the width by more
-  // than the hysteresis. Otherwise remember the width, so further long walks
-  // neither resample nor rehash until some rehash changes it.
+  // the dequeue stream has not reached yet): respread at the same ring size
+  // when resampling the live population moves the width by more than the
+  // hysteresis. When it does not — the sample is dominated by sparse events
+  // elsewhere — the walked chain is the dense cluster itself, so respread at
+  // the width its own gaps call for. Either way remember the width, so
+  // further long walks neither resample nor rehash until some rehash
+  // changes it.
   bool degenerate = walked > kMaxChainWalk;
   if (cal_count_ > nbuckets_ * 2 && nbuckets_ < kMaxBuckets) {
     Rehash(nbuckets_ * 2, /*sample_live=*/degenerate);
   } else if (degenerate && width_ != settled_width_) {
     TimeNs sampled = SampleWidth(SortedLive());
-    if (sampled > width_ * kWidthHysteresis || sampled * kWidthHysteresis < width_) {
+    if (OffWidth(sampled)) {
       Rehash(nbuckets_, /*sample_live=*/true);
     } else {
+      TimeNs dense = ChainWidth(BucketOf(t));
+      if (OffWidth(dense)) {
+        Rehash(nbuckets_, /*sample_live=*/false, nullptr, dense);
+      }
       settled_width_ = width_;
     }
   }
   return h;
+}
+
+TimeNs EventQueue::ChainWidth(size_t b) const {
+  std::vector<TimeNs> gaps;
+  TimeNs prev = -1;
+  for (uint32_t idx = buckets_[b]; idx != kNilIdx; idx = Rec(idx).next) {
+    const Record& r = Rec(idx);
+    if (r.state != SlotState::kScheduled) {
+      continue;
+    }
+    if (prev >= 0 && r.time > prev) {
+      gaps.push_back(r.time - prev);
+    }
+    prev = r.time;
+  }
+  if (gaps.empty()) {
+    return width_;  // one distinct time: tail appends already keep it O(1)
+  }
+  std::nth_element(gaps.begin(), gaps.begin() + static_cast<ptrdiff_t>(gaps.size() / 2),
+                   gaps.end());
+  return std::clamp<TimeNs>(gaps[gaps.size() / 2] * 3, 1, kMaxWidth);
 }
 
 bool EventQueue::Cancel(Handle h) {
@@ -346,7 +374,7 @@ void EventQueue::NotePop(TimeNs t) {
   }
   dequeue_width_ = static_cast<TimeNs>(std::clamp(3 * kept_sum / static_cast<double>(kept), 1.0,
                                                    static_cast<double>(kMaxWidth)));
-  if (dequeue_width_ > width_ * kWidthHysteresis || dequeue_width_ * kWidthHysteresis < width_) {
+  if (OffWidth(dequeue_width_)) {
     Rehash(nbuckets_, /*sample_live=*/false);
   }
 }
@@ -366,7 +394,8 @@ std::vector<uint32_t> EventQueue::SortedLive() const {
   return live;
 }
 
-void EventQueue::Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra) {
+void EventQueue::Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra,
+                        TimeNs width) {
   // Drain every chain, dropping tombstones for good.
   std::vector<uint32_t> live;
   live.reserve(ring_live_);
@@ -392,7 +421,10 @@ void EventQueue::Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint3
   DS_CHECK_EQ(cal_count_, ring_live_);
   nbuckets_ = new_nbuckets;
   mask_ = nbuckets_ - 1;
-  width_ = sample_live || dequeue_width_ == 0 ? SampleWidth(live) : dequeue_width_;
+  if (width == 0) {
+    width = sample_live || dequeue_width_ == 0 ? SampleWidth(live) : dequeue_width_;
+  }
+  width_ = width;
   settled_width_ = 0;
   buckets_.assign(nbuckets_, kNilIdx);
   tails_.assign(nbuckets_, kNilIdx);

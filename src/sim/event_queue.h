@@ -32,7 +32,9 @@
 //     estimate; the live-gap median sample is the cold-start fallback. A
 //     sorted insert that walks a degenerate chain resamples that median and
 //     rehashes in place only when it moves the width past the hysteresis;
-//     it never grows the ring by itself. Sparse far events then sit in
+//     when it does not, the walked chain is a dense cluster the sample
+//     cannot see, and the ring is respread at that chain's own width. The
+//     walk never grows the ring by itself. Sparse far events then sit in
 //     later ring-years of their buckets, behind the near events; a sorted
 //     insert that cannot take the tail path resumes after the previous insert
 //     when it can, so an equal-time batch lands back to back in O(1) even
@@ -188,13 +190,23 @@ class EventQueue {
   // Frees tombstoned overflow entries in place and recomputes the exact
   // lower bound; amortized O(1) per cancel by the > half-dead trigger.
   void CompactOverflow();
-  // Redistributes the ring over `new_nbuckets` buckets. The width is the
-  // dequeue-stream estimate once one exists; `sample_live` (or a cold start)
-  // re-samples it from the live population instead.
-  void Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra = nullptr);
+  // Redistributes the ring over `new_nbuckets` buckets. The width is
+  // `width` when nonzero, else the dequeue-stream estimate once one exists;
+  // `sample_live` (or a cold start) re-samples it from the live population
+  // instead.
+  void Rehash(size_t new_nbuckets, bool sample_live, std::vector<uint32_t>* extra = nullptr,
+              TimeNs width = 0);
   // The ring's live records in (time, seq) order, without touching the ring.
   std::vector<uint32_t> SortedLive() const;
   TimeNs SampleWidth(const std::vector<uint32_t>& sorted_live) const;
+  // Brown's width for bucket `b`'s chain alone: 3x the median gap between
+  // its distinct live times (the current width when it holds fewer than two).
+  TimeNs ChainWidth(size_t b) const;
+  // True when width `w` differs from the current one by more than the
+  // hysteresis — the rehash trigger every width estimate shares.
+  bool OffWidth(TimeNs w) const {
+    return w > width_ * kWidthHysteresis || w * kWidthHysteresis < width_;
+  }
   // Feeds one popped time to the dequeue-stream estimate; every kGapWindow
   // gaps it refreshes dequeue_width_ and rehashes in place if needed.
   void NotePop(TimeNs t);

@@ -4,6 +4,7 @@
 #define DEEPSERVE_WORKLOAD_REQUEST_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,12 @@ struct RequestSpec {
 
   int64_t prefill_len() const { return static_cast<int64_t>(prompt.size()); }
 };
+
+// One dispatch's immutable copy of a request, prompt included. The JE makes
+// it once per dispatch; the control log's job record, the leader's and the
+// standby's job tables and every engine the request reaches share it
+// instead of copying the prompt.
+using SharedRequest = std::shared_ptr<const RequestSpec>;
 
 }  // namespace deepserve::workload
 

@@ -114,7 +114,7 @@ TEST(ControlLogTest, ReplayFromNothingMatchesLiveFingerprint) {
   const int32_t other = log.RegisterDomain("other");
 
   log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 3}, {}});
-  log.Append({0, 0, other, 99, {1, 2, 3}, "noise"});  // foreign domain: must be filtered
+  log.Append({0, 0, other, 99, {1, 2, 3}, nullptr});  // foreign domain: must be filtered
   log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kPrefill, 4}, {}});
   log.Append({0, 0, live.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
   log.Append({0, 0, live.domain(), ctrl::JobTable::kTeRemoved, {3}, {}});
@@ -238,12 +238,18 @@ ctrl::LogRecord RandomJobRecord(Rng& rng, const ctrl::JobTable& fold, int32_t do
   if (kind <= 2 || open.empty()) {
     record.type = ctrl::JobTable::kJobCreated;
     const auto job = static_cast<int64_t>(fold.next_job());
-    record.ints = {job, job * 10, rng.UniformInt(0, 2), now,
-                   rng.UniformInt(1, 512), rng.UniformInt(0, 3), now + SToNs(30)};
+    record.ints = {job, rng.UniformInt(0, 2)};
+    workload::RequestSpec spec;
+    spec.id = static_cast<workload::RequestId>(job * 10);
+    spec.arrival = now;
+    spec.decode_len = rng.UniformInt(1, 512);
+    spec.priority = static_cast<int>(rng.UniformInt(0, 3));
+    spec.deadline = now + SToNs(30);
     for (int64_t i = rng.UniformInt(0, 48); i > 0; --i) {
-      record.ints.push_back(rng.UniformInt(0, 127999));
+      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(0, 127999)));
     }
-    record.str = rng.Bernoulli(0.5) ? "ctx-" + std::to_string(rng.UniformInt(0, 3)) : "";
+    spec.context_id = rng.Bernoulli(0.5) ? "ctx-" + std::to_string(rng.UniformInt(0, 3)) : "";
+    record.request = std::make_shared<const workload::RequestSpec>(std::move(spec));
   } else if (kind == 3) {
     record.type = ctrl::JobTable::kJobTeBound;
     record.ints = {pick_open(), rng.UniformInt(1, 16)};
@@ -784,10 +790,117 @@ TEST_F(CtrlStackTest, SingleReplicaJeCrashFailsOutstandingAndRejectsArrivals) {
 
   sim.Run();
   EXPECT_EQ(completed, 0);
+  EXPECT_EQ(je.stats().deferred_ops, 0);  // nothing parks: no takeover will come
   EXPECT_TRUE(te->engine().idle());  // severed sequences were cancelled
   EXPECT_EQ(je.stats().je_crashes, 1);
   EXPECT_EQ(je.stats().je_failovers, 0);
   EXPECT_FALSE(je.leader_up());
+}
+
+// ---------------- JE completion paths ----------------
+
+// What a JE handler was handed: the Sequence object, its progress, and when
+// the call came.
+struct SeqView {
+  const flowserve::Sequence* address = nullptr;
+  const workload::RequestSpec* request = nullptr;
+  int64_t generated = 0;
+  TimeNs first_token_time = 0;
+  TimeNs finish_time = 0;
+  TimeNs delivered = -1;
+
+  SeqView() = default;
+  SeqView(const flowserve::Sequence& seq, TimeNs now)
+      : address(&seq), request(seq.request.spec.get()), generated(seq.generated),
+        first_token_time(seq.first_token_time), finish_time(seq.finish_time), delivered(now) {}
+};
+
+TEST_F(CtrlStackTest, LeaderUpHandlersSeeTheEnginesLiveSequence) {
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, MsToNs(1), MsToNs(100)));
+  sim::Simulator& sim = fleet.sim();
+  serving::JobExecutor& je = fleet.je();
+  fleet.AddTe(flowserve::EngineRole::kColocated, SmallEngine(flowserve::EngineRole::kColocated));
+
+  SeqView first;
+  SeqView done;
+  je.HandleRequest(MakeRequest(1, 256, 16),
+                   {[&](const flowserve::Sequence& seq) { first = SeqView(seq, sim.Now()); },
+                    [&](const flowserve::Sequence& seq) { done = SeqView(seq, sim.Now()); },
+                    nullptr});
+  sim.Run();
+  ASSERT_GE(done.delivered, 0);
+  // The completion wrapper calls through with the engine's own Sequence —
+  // the object the first token came from — not a copy.
+  EXPECT_EQ(done.address, first.address);
+  EXPECT_EQ(first.first_token_time, first.delivered);
+  EXPECT_EQ(done.first_token_time, first.delivered);
+  EXPECT_EQ(done.generated, 16);
+  EXPECT_EQ(done.finish_time, done.delivered);
+  EXPECT_EQ(je.stats().deferred_ops, 0);
+}
+
+TEST_F(CtrlStackTest, LeaderUpPdHandlersSeeLiveSequencesSharingOneRequest) {
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, MsToNs(1), MsToNs(100)));
+  sim::Simulator& sim = fleet.sim();
+  serving::JobExecutor& je = fleet.je();
+  fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), 0, /*prefill=*/1, /*decode=*/1);
+  fleet.Link();
+
+  SeqView first;
+  SeqView done;
+  const workload::RequestSpec* outstanding = nullptr;
+  je.HandleRequest(MakeRequest(1, 256, 16),
+                   {[&](const flowserve::Sequence& seq) {
+                      first = SeqView(seq, sim.Now());
+                      outstanding = je.table().outstanding().begin()->second.request.get();
+                    },
+                    [&](const flowserve::Sequence& seq) { done = SeqView(seq, sim.Now()); },
+                    nullptr});
+  sim.Run();
+  ASSERT_GE(done.delivered, 0);
+  EXPECT_EQ(je.stats().routed_disaggregated, 1);
+  // The prefill TE's first token and the decode TE's completion arrive live…
+  EXPECT_EQ(first.first_token_time, first.delivered);
+  EXPECT_EQ(done.generated, 16);
+  EXPECT_EQ(done.finish_time, done.delivered);
+  // …from two Sequences holding the one request the job table holds.
+  EXPECT_EQ(first.request, outstanding);
+  EXPECT_EQ(done.request, outstanding);
+}
+
+// One request on a colocated TE behind a 3-replica log; with `crash`, the JE
+// leader crashes right after the first token, so the completion lands
+// during the outage.
+SeqView CompleteAcrossJeCrash(bool crash) {
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, MsToNs(1), SToNs(1)));
+  sim::Simulator& sim = fleet.sim();
+  serving::JobExecutor& je = fleet.je();
+  fleet.AddTe(flowserve::EngineRole::kColocated, SmallEngine(flowserve::EngineRole::kColocated));
+  SeqView done;
+  je.HandleRequest(MakeRequest(1, 256, 16),
+                   {[&](const flowserve::Sequence&) {
+                      if (crash) {
+                        sim.ScheduleAfter(0, [&] { ASSERT_TRUE(je.CrashLeader().ok()); });
+                      }
+                    },
+                    [&](const flowserve::Sequence& seq) { done = SeqView(seq, sim.Now()); },
+                    [](const Status& status) { ADD_FAILURE() << status.ToString(); }});
+  sim.Run();
+  EXPECT_EQ(je.stats().je_failovers, crash ? 1 : 0);
+  EXPECT_EQ(je.stats().deferred_ops > 0, crash);
+  return done;
+}
+
+TEST_F(CtrlStackTest, LeaderDownCompletionDeliversItsSnapshotAtTakeover) {
+  const SeqView live = CompleteAcrossJeCrash(/*crash=*/false);
+  const SeqView parked = CompleteAcrossJeCrash(/*crash=*/true);
+  ASSERT_GE(live.delivered, 0);
+  ASSERT_GE(parked.delivered, 0);
+  // Delivered after takeover, with the values the engine set at completion.
+  EXPECT_GT(parked.delivered, parked.finish_time);
+  EXPECT_EQ(parked.generated, live.generated);
+  EXPECT_EQ(parked.first_token_time, live.first_token_time);
+  EXPECT_EQ(parked.finish_time, live.finish_time);
 }
 
 // ---------------- Golden parity: degenerate log == pre-log tree ----------------

@@ -207,5 +207,64 @@ TEST(FleetTest, MixedGenerationClusterMatchesHandWiredStack) {
   ExpectSameReplay(shape);
 }
 
+// Prompt work of one replay: dispatches (first dispatches plus crash
+// re-dispatches), the JE's request copies and key-chain hashes, and the key
+// chains every TE's RTC had to hash itself.
+struct PromptWork {
+  int64_t dispatches = 0;
+  int64_t copies = 0;
+  int64_t hashes = 0;
+  int64_t rtc_hashes = 0;
+};
+
+PromptWork ReplayCountingPromptWork(const Shape& shape) {
+  fleet::Fleet fleet(shape.spec);
+  fleet.AddTes(shape.engine, shape.colocated, shape.prefill, shape.decode);
+  fleet.Link();
+  faults::FaultInjector injector(&fleet.sim(), &fleet.manager(), /*seed=*/1);
+  InjectFaults(shape, &injector);
+  fleet.Replay(Trace());
+  EXPECT_EQ(fleet.tally().errored, 0);
+  const serving::JeStats& je = fleet.je().stats();
+  PromptWork work{je.requests + je.retries, je.prompt_copies, je.prompt_hashes, 0};
+  for (const auto& te : fleet.manager().tes()) {
+    for (int g = 0; g < te->engine().config().parallelism.dp; ++g) {
+      work.rtc_hashes += te->engine().rtc(g).stats().prompt_hashes;
+    }
+  }
+  return work;
+}
+
+void ExpectOneCopyAndOneHashPerDispatch(const PromptWork& work) {
+  EXPECT_GT(work.dispatches, 0);
+  EXPECT_EQ(work.copies, work.dispatches);
+  EXPECT_EQ(work.hashes, work.dispatches);
+  EXPECT_EQ(work.rtc_hashes, 0) << "an engine re-hashed a prompt the JE had hashed";
+}
+
+// The JE copies each dispatched request once and hashes its prompt's key
+// chain once; the TEs below share both, so no RTC hashes a prompt itself.
+TEST(FleetTest, OnePromptCopyAndOneHashPerColocatedDispatch) {
+  Shape shape;
+  shape.colocated = 2;
+  ExpectOneCopyAndOneHashPerDispatch(ReplayCountingPromptWork(shape));
+}
+
+TEST(FleetTest, PdPairSharesOnePromptCopyAndHash) {
+  Shape shape;
+  shape.prefill = 1;
+  shape.decode = 1;
+  ExpectOneCopyAndOneHashPerDispatch(ReplayCountingPromptWork(shape));
+}
+
+TEST(FleetTest, CrashRedispatchCostsOneMoreCopyAndHash) {
+  Shape shape;
+  shape.colocated = 2;
+  shape.faults = "shell@6#0";
+  PromptWork work = ReplayCountingPromptWork(shape);
+  EXPECT_GT(work.dispatches, static_cast<int64_t>(Trace().size())) << "no request re-dispatched";
+  ExpectOneCopyAndOneHashPerDispatch(work);
+}
+
 }  // namespace
 }  // namespace deepserve
