@@ -86,8 +86,10 @@ BENCHMARK(BM_RadixTreeMatch);
 
 void BM_BlockPoolAllocFree(benchmark::State& state) {
   rtc::BlockPool pool({.npu_capacity = 1 << 20, .dram_capacity = 0});
+  std::vector<rtc::BlockId> blocks;
   for (auto _ : state) {
-    auto blocks = pool.Allocate(64, rtc::Tier::kNpu).value();
+    blocks.clear();
+    DS_CHECK_OK(pool.Allocate(64, rtc::Tier::kNpu, &blocks));
     for (auto id : blocks) {
       pool.Unref(id);
     }
@@ -102,7 +104,8 @@ void BM_RtcMatchPopulateCycle(benchmark::State& state) {
   config.pool.npu_capacity = 1 << 16;
   rtc::RtcMaster master(&sim, config);
   auto tokens = RandomTokens(2048, 7);
-  auto blocks = master.AllocBlocks(128).value();
+  std::vector<rtc::BlockId> blocks;
+  DS_CHECK_OK(master.AllocBlocks(128, &blocks));
   master.Preserve(tokens, blocks);
   master.Free(blocks);
   for (auto _ : state) {

@@ -34,8 +34,11 @@
 // (`work_growth`), the JE control log's appended and retained record counts
 // (the retained count at both horizons), `prompt_hashes_per_request` (full
 // prompt key chains hashed by the JE and every RTC, per request: the JE
-// hashes each dispatched prompt once and the engines share that chain), its
-// `timeline_hash` and `replay_identical`.
+// hashes each dispatched prompt once and the engines share that chain),
+// `rtc_pinned_blocks_after_drain` (RTC blocks still holding a transfer pin
+// once the simulator has drained, summed over every TE: a pin that outlives
+// its transfer keeps its run out of eviction forever), its `timeline_hash`
+// and `replay_identical`.
 //
 // Flags (plus the ObsSession observability flags):
 //   --out=PATH   JSON artifact path (default BENCH_perf.json)
@@ -50,8 +53,9 @@
 //                than at half of it and (f) the full-stack replay walks at
 //                most kMaxWalkPerInsert calendar links per insert and (g)
 //                long_horizon hashes at most kMaxPromptHashesPerRequest
-//                prompt key chains per request. Wall time is recorded,
-//                never gated.
+//                prompt key chains per request and (h) no RTC block of
+//                long_horizon is still pinned after the drain. Wall time is
+//                recorded, never gated.
 
 #include <algorithm>
 #include <chrono>
@@ -441,6 +445,7 @@ struct LongHorizonResult {
   int64_t je_log_appended = 0;  // JE control-log records ever appended
   int64_t je_log_retained = 0;  // records the log still holds at the end
   int64_t prompt_hashes = 0;    // full-prompt key chains: the JE's plus every RTC's
+  int64_t rtc_pinned = 0;       // RTC blocks still transfer-pinned after the drain
 
   double PerRequest(int64_t work) const {
     return replay.requests > 0 ? static_cast<double>(work) / static_cast<double>(replay.requests)
@@ -470,6 +475,7 @@ LongHorizonResult RunLongHorizon(double duration_s, uint64_t seed) {
     for (int g = 0; g < e.config().parallelism.dp; ++g) {
       r.rtc_lru_examined += e.rtc(g).stats().lru_leaves_examined;
       r.prompt_hashes += e.rtc(g).stats().prompt_hashes;
+      r.rtc_pinned += e.rtc(g).pinned_blocks();
     }
   }
   r.je_tree_examined = bed.je().stats().tree_leaves_examined;
@@ -616,6 +622,7 @@ int RunAll(const Options& opt) {
                ", \"je_log_records_retained\": %" PRId64
                ", \"half_horizon_je_log_records_retained\": %" PRId64
                ", \"links_walked_per_insert\": %.4f, \"prompt_hashes_per_request\": %.4f"
+               ", \"rtc_pinned_blocks_after_drain\": %" PRId64
                ", \"timeline_hash\": \"%016" PRIx64 "\", \"replay_identical\": %s}\n",
                kLongHorizonTes, kLongHorizonRps, kLongHorizonSeconds, lh.replay.requests,
                lh.replay.completed,
@@ -623,8 +630,8 @@ int RunAll(const Options& opt) {
                lh.PerRequest(lh.rtc_lru_examined), lh.PerRequest(lh.je_tree_examined),
                half.PerRequest(half.rtc_lru_examined), half.PerRequest(half.je_tree_examined),
                work_growth, lh.je_log_appended, lh.je_log_retained, half.je_log_retained,
-               lh.replay.WalkPerInsert(), prompt_hashes_per_request, lh.replay.timeline_hash,
-               lh_identical ? "true" : "false");
+               lh.replay.WalkPerInsert(), prompt_hashes_per_request, lh.rtc_pinned,
+               lh.replay.timeline_hash, lh_identical ? "true" : "false");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "perf_sim: wrote %s\n", opt.out.c_str());
@@ -674,6 +681,13 @@ int RunAll(const Options& opt) {
                    prompt_hashes_per_request, kMaxPromptHashesPerRequest);
       return 1;
     }
+    if (lh.rtc_pinned != 0) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: long_horizon left %" PRId64
+                   " RTC blocks transfer-pinned after the drain\n",
+                   lh.rtc_pinned);
+      return 1;
+    }
     if (storm_speedup < 3.0) {
       std::fprintf(stderr,
                    "SMOKE FAIL: cancel_storm speedup %.2fx < 3x over the legacy core "
@@ -685,9 +699,9 @@ int RunAll(const Options& opt) {
                  "smoke OK: replays bit-identical, cancel_storm %.2fx vs legacy, replay_64te "
                  "%.3f links walked per insert, long_horizon LRU work growth %.3fx, JE log "
                  "retains %" PRId64 " of %" PRId64 " records, %.3f prompt hashes per "
-                 "request\n",
+                 "request, %" PRId64 " RTC blocks pinned after the drain\n",
                  storm_speedup, replay.WalkPerInsert(), work_growth, lh.je_log_retained,
-                 lh.je_log_appended, prompt_hashes_per_request);
+                 lh.je_log_appended, prompt_hashes_per_request, lh.rtc_pinned);
   }
   return 0;
 }
@@ -703,8 +717,8 @@ int main(int argc, char** argv) {
                 "fast run; exits non-zero unless replays are bit-identical, the "
                 "slab core beats the legacy heap on cancel_storm, long_horizon LRU "
                 "work per request stays flat, its JE control log stays bounded, its "
-                "prompts are hashed once per request and the full-stack replay's "
-                "calendar inserts stay O(1)");
+                "prompts are hashed once per request, no RTC transfer pin outlives "
+                "the drain and the full-stack replay's calendar inserts stay O(1)");
   std::vector<char*> obs_args = registry.Parse(argc, argv);
   bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
   return RunAll(opt);

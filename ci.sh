@@ -79,7 +79,7 @@ for example in quickstart chat_service disaggregated_serving context_caching fas
 done
 ./build/examples/deepserve_sim --duration=60 >/dev/null
 
-echo "==> perf_sim smoke: DES core throughput, replay determinism, calendar walk, LRU work, log and prompt-hash bounds, BENCH_perf.json"
+echo "==> perf_sim smoke: DES core throughput, replay determinism, calendar walk, LRU work, log and prompt-hash bounds, RTC pin conservation, BENCH_perf.json"
 # Exits non-zero unless the full-stack 64-TE replay and the 8-TE long_horizon
 # replay are each bit-identical across two runs, the cancellation-heavy
 # scenario beats the embedded pre-PR event core by >= 3x events/sec, the
@@ -87,9 +87,10 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism, calendar walk
 # (the bucket width follows the dequeue stream), and long_horizon's LRU
 # leaves examined per request at 1920 sim-s are at most 1.25x those at 960
 # sim-s, its JE control log retains no more records at 1920 than at 960
-# sim-s and it hashes at most one prompt key chain per request (the JE's;
-# the engines share it) (deterministic counts; wall time is recorded, not
-# gated). Writes the tracked BENCH_perf.json.
+# sim-s, it hashes at most one prompt key chain per request (the JE's; the
+# engines share it) and no RTC block is still transfer-pinned once it has
+# drained (deterministic counts; wall time is recorded, not gated). Writes
+# the tracked BENCH_perf.json.
 ./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
 
 if [[ "${1:-}" == "--fast" ]]; then

@@ -339,11 +339,7 @@ Status Engine::SubmitPrefilled(RequestRef request, SeqCallback on_complete,
   DpGroup& group = GroupFor(*seq);
   int64_t blocks_needed =
       (seq->context_len() + config_.block_size - 1) / config_.block_size;
-  auto blocks = group.rtc->AllocBlocks(blocks_needed);
-  if (!blocks.ok()) {
-    return blocks.status();
-  }
-  seq->blocks = std::move(blocks).value();
+  DS_RETURN_IF_ERROR(group.rtc->AllocBlocks(blocks_needed, &seq->blocks));
   seq->block_tokens =
       static_cast<int64_t>(seq->blocks.size()) * static_cast<int64_t>(config_.block_size);
   seq->state = SeqState::kDecoding;

@@ -122,11 +122,7 @@ bool Engine::EnsureBlocks(DpGroup& group, Sequence* seq, int64_t tokens, bool al
     return true;
   }
   while (true) {
-    auto blocks = group.rtc->AllocBlocks(needed);
-    if (blocks.ok()) {
-      for (rtc::BlockId id : *blocks) {
-        seq->blocks.push_back(id);
-      }
+    if (group.rtc->AllocBlocks(needed, &seq->blocks).ok()) {
       seq->block_tokens += needed * config_.block_size;
       return true;
     }

@@ -44,15 +44,13 @@ int64_t BlockPool::capacity(Tier tier) const {
   return 0;
 }
 
-Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier) {
+Status BlockPool::Allocate(int64_t n, Tier tier, std::vector<BlockId>* out) {
   DS_CHECK_GE(n, 0);
   if (used(tier) + n > capacity(tier)) {
     return ResourceExhaustedError("tier " + std::string(TierToString(tier)) + " needs " +
                                   std::to_string(n) + " blocks, has " +
                                   std::to_string(free_blocks(tier)));
   }
-  std::vector<BlockId> ids;
-  ids.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     size_t idx;
     if (!free_slots_.empty()) {
@@ -68,30 +66,11 @@ Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier) {
     slot.info = BlockInfo{};
     slot.info.ref_count = 1;
     slot.info.residency = TierBit(tier);
-    ids.push_back(MakeId(idx, slot.gen));
+    out->push_back(MakeId(idx, slot.gen));
   }
   live_count_ += static_cast<size_t>(n);
   used_[static_cast<size_t>(tier)] += n;
-  return ids;
-}
-
-BlockInfo& BlockPool::mutable_info(BlockId id) {
-  DS_CHECK(Exists(id)) << "unknown block " << id;
-  return slots_[IndexOf(id)].info;
-}
-
-const BlockInfo& BlockPool::info(BlockId id) const {
-  DS_CHECK(Exists(id)) << "unknown block " << id;
-  return slots_[IndexOf(id)].info;
-}
-
-void BlockPool::Unref(BlockId id) {
-  BlockInfo& info = mutable_info(id);
-  DS_CHECK_GT(info.ref_count, 0) << "unref of unreferenced block " << id;
-  --info.ref_count;
-  if (info.ref_count == 0 && !info.cached()) {
-    Destroy(id);
-  }
+  return Status::Ok();
 }
 
 Status BlockPool::AddResidency(BlockId id, Tier tier) {
@@ -119,6 +98,9 @@ void BlockPool::DropResidency(BlockId id, Tier tier) {
 void BlockPool::Destroy(BlockId id) {
   BlockInfo& info = mutable_info(id);
   DS_CHECK_EQ(info.ref_count, 0) << "destroying referenced block " << id;
+  if (info.pins > 0) {
+    --pinned_blocks_;  // a block destroyed mid-transfer drops its pins
+  }
   for (Tier tier : {Tier::kNpu, Tier::kDram, Tier::kSsd}) {
     if (info.resident(tier)) {
       --used_[static_cast<size_t>(tier)];

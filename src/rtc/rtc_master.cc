@@ -42,19 +42,23 @@ void RtcMaster::SyncListeners() {
   }
 }
 
-MatchInfo RtcMaster::BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens) {
+MatchInfo RtcMaster::BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) const {
   MatchInfo info;
   info.matched_tokens = matched_tokens;
-  info.blocks = blocks;
   bool npu_prefix = true;
   for (BlockId id : blocks) {
-    if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
+    const BlockInfo* block = pool_.Find(id);
+    if (block == nullptr) {
+      return MatchInfo{};
+    }
+    if (npu_prefix && block->resident(Tier::kNpu)) {
       info.npu_tokens += config_.block_size;
     } else {
       npu_prefix = false;
     }
   }
   info.offnpu_tokens = info.matched_tokens - info.npu_tokens;
+  info.blocks = std::move(blocks);
   return info;
 }
 
@@ -100,7 +104,7 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
                 obs::Arg("matched_tokens", matched_tokens),
                 obs::Arg("requested_tokens", static_cast<int64_t>(prompt.size()))});
   }
-  return BuildMatchInfo(blocks, matched_tokens);
+  return BuildMatchInfo(std::move(blocks), matched_tokens);
 }
 
 MatchInfo RtcMaster::MatchByID(const std::string& id) {
@@ -117,16 +121,16 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
     return miss();
   }
   // Validate against eviction: any discarded block invalidates the entry
-  // (block ids are never reused, so Exists() is a safe liveness check).
-  for (BlockId block : it->second) {
-    if (!pool_.Exists(block)) {
-      id_index_.erase(it);
-      id_tokens_.erase(id);
-      return miss();
-    }
+  // (a destroyed block's id never resolves again, even once its slot is
+  // reused).
+  int64_t tokens = id_tokens_.at(id);
+  MatchInfo match = BuildMatchInfo(it->second, tokens);
+  if (!match.hit()) {
+    id_index_.erase(it);
+    id_tokens_.erase(id);
+    return miss();
   }
   ++stats_.match_hits;
-  int64_t tokens = id_tokens_.at(id);
   stats_.matched_tokens += tokens;
   stats_.requested_tokens += tokens;
   if (obs::Tracer* t = sim_->tracer()) {
@@ -134,7 +138,7 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
                {obs::Arg("kind", "id"), obs::Arg("id", id),
                 obs::Arg("matched_tokens", tokens)});
   }
-  return BuildMatchInfo(it->second, tokens);
+  return match;
 }
 
 void RtcMaster::Acquire(std::span<const BlockId> blocks) {
@@ -151,7 +155,7 @@ void RtcMaster::Refresh(Tree::Node* node) {
   run.npu_only = false;
   for (BlockId id : run.blocks) {
     const BlockInfo& info = pool_.info(id);
-    if (info.ref_count > 0 || populate_pins_.count(id) > 0 || !info.resident(Tier::kNpu)) {
+    if (info.ref_count > 0 || info.pins > 0 || !info.resident(Tier::kNpu)) {
       evictable = false;
       break;
     }
@@ -164,10 +168,11 @@ void RtcMaster::Refresh(Tree::Node* node) {
 void RtcMaster::RefreshOwners(std::span<const BlockId> blocks) {
   Tree::Node* last = nullptr;  // runs are contiguous: refresh each node once
   for (BlockId id : blocks) {
-    if (!pool_.Exists(id)) {
+    const BlockInfo* info = pool_.Find(id);
+    if (info == nullptr) {
       continue;
     }
-    Tree::Node* node = pool_.info(id).node;
+    Tree::Node* node = info->node;
     if (node != nullptr && node != last) {
       Refresh(node);
       last = node;
@@ -177,10 +182,7 @@ void RtcMaster::RefreshOwners(std::span<const BlockId> blocks) {
 
 void RtcMaster::Unpin(std::span<const BlockId> blocks) {
   for (BlockId id : blocks) {
-    auto pin = populate_pins_.find(id);
-    if (pin != populate_pins_.end() && --pin->second == 0) {
-      populate_pins_.erase(pin);
-    }
+    pool_.Unpin(id);
   }
 }
 
@@ -227,7 +229,7 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
     // pin the blocks so eviction cannot race the in-flight copy.
     for (BlockId id : blocks) {
       DS_CHECK_OK(pool_.AddResidency(id, Tier::kNpu));
-      ++populate_pins_[id];
+      pool_.Pin(id);
     }
     RefreshOwners(blocks);
     SyncListeners();
@@ -275,21 +277,10 @@ MatchInfo RtcMaster::TruncateMatch(const MatchInfo& info, int64_t max_tokens) co
   }
   size_t keep_blocks = static_cast<size_t>(std::max<int64_t>(0, max_tokens) /
                                            static_cast<int64_t>(config_.block_size));
-  MatchInfo out;
-  out.blocks.assign(info.blocks.begin(),
-                    info.blocks.begin() + static_cast<ptrdiff_t>(keep_blocks));
-  out.matched_tokens =
-      static_cast<int64_t>(keep_blocks) * static_cast<int64_t>(config_.block_size);
-  bool npu_prefix = true;
-  for (BlockId id : out.blocks) {
-    if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
-      out.npu_tokens += config_.block_size;
-    } else {
-      npu_prefix = false;
-    }
-  }
-  out.offnpu_tokens = out.matched_tokens - out.npu_tokens;
-  return out;
+  std::vector<BlockId> kept(info.blocks.begin(),
+                            info.blocks.begin() + static_cast<ptrdiff_t>(keep_blocks));
+  return BuildMatchInfo(std::move(kept), static_cast<int64_t>(keep_blocks) *
+                                             static_cast<int64_t>(config_.block_size));
 }
 
 PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
@@ -307,12 +298,12 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
     if (it == pic_index_.end()) {
       continue;
     }
-    if (!pool_.Exists(it->second)) {
+    const BlockInfo* info = pool_.Find(it->second);
+    if (info == nullptr) {
       pic_index_.erase(it);  // block was evicted; prune the stale entry
       continue;
     }
-    const BlockInfo& info = pool_.info(it->second);
-    if (!info.resident(Tier::kNpu)) {
+    if (!info->resident(Tier::kNpu)) {
       continue;  // off-NPU PIC blocks are not worth fetching
     }
     match.blocks.push_back(it->second);
@@ -376,19 +367,12 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   return Status::Ok();
 }
 
-Result<std::vector<BlockId>> RtcMaster::AllocBlocks(int64_t n) {
+Status RtcMaster::AllocBlocks(int64_t n, std::vector<BlockId>* out) {
   DS_RETURN_IF_ERROR(EnsureNpuFree(n));
-  auto result = pool_.Allocate(n, Tier::kNpu);
-  if (result.ok()) {
-    SyncListeners();
-    MaybeArmSwap();
-  }
-  return result;
-}
-
-Result<BlockId> RtcMaster::AppendBlock() {
-  DS_ASSIGN_OR_RETURN(std::vector<BlockId> blocks, AllocBlocks(1));
-  return blocks.front();
+  DS_RETURN_IF_ERROR(pool_.Allocate(n, Tier::kNpu, out));
+  SyncListeners();
+  MaybeArmSwap();
+  return Status::Ok();
 }
 
 void RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
@@ -416,7 +400,7 @@ void RtcMaster::CopyBlocks(std::span<const BlockId> blocks, Tier dst, bool demot
     return;
   }
   for (BlockId id : to_copy) {
-    ++populate_pins_[id];
+    pool_.Pin(id);
   }
   RefreshOwners(to_copy);
   Bytes bytes = static_cast<Bytes>(to_copy.size()) * config_.bytes_per_block;
@@ -425,7 +409,8 @@ void RtcMaster::CopyBlocks(std::span<const BlockId> blocks, Tier dst, bool demot
               Unpin(to_copy);
               if (demote) {
                 for (BlockId id : to_copy) {
-                  if (pool_.info(id).ref_count == 0) {
+                  const BlockInfo* info = pool_.Find(id);
+                  if (info != nullptr && info->ref_count == 0) {
                     pool_.DropResidency(id, Tier::kNpu);
                   }
                 }
@@ -441,10 +426,21 @@ void RtcMaster::CopyBlocks(std::span<const BlockId> blocks, Tier dst, bool demot
 }
 
 void RtcMaster::Free(std::span<const BlockId> blocks) {
+  // Runs are contiguous: each node is refreshed once, after its last block.
+  Tree::Node* pending = nullptr;
   for (BlockId id : blocks) {
+    Tree::Node* node = pool_.info(id).node;
     pool_.Unref(id);  // private blocks die here; cached ones stay
+    if (node != pending) {
+      if (pending != nullptr) {
+        Refresh(pending);
+      }
+      pending = node;
+    }
   }
-  RefreshOwners(blocks);
+  if (pending != nullptr) {
+    Refresh(pending);
+  }
   SyncListeners();
 }
 
@@ -460,8 +456,7 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
     node.value.blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(begin),
                              blocks.begin() + static_cast<ptrdiff_t>(end));
     for (size_t i = begin; i < end; ++i) {
-      pool_.SetKey(blocks[i], keys[i]);
-      pool_.SetNode(blocks[i], &node);
+      pool_.Commit(blocks[i], keys[i], &node);
       if (config_.enable_pic) {
         // Content-only hash (chain seed 0): same tokens at any position map
         // to the same PIC key.

@@ -135,7 +135,8 @@ class RtcMaster {
 
   // ---- Table 1: populate ---------------------------------------------------
   // Starts fetching `info`'s off-NPU blocks into the NPU (async). The blocks
-  // must be pinned (Acquire) first so eviction cannot race the fetch.
+  // must be held (Acquire) first; each fetched block also carries a transfer
+  // pin until it lands, so eviction cannot race the fetch.
   [[nodiscard]] Result<PopulateTicket> Populate(const MatchInfo& info);
   PopulateState QueryPopulate(PopulateTicket ticket) const;
   // Registers a one-shot callback fired when the ticket becomes ready (fires
@@ -149,16 +150,21 @@ class RtcMaster {
   MatchInfo TruncateMatch(const MatchInfo& info, int64_t max_tokens) const;
 
   // ---- Table 1: block APIs -------------------------------------------------
-  // Pins matched blocks for a sequence (one ref each).
+  // Per-block state (refs, transfer pins, residency, key, index node) lives
+  // on the block's BlockInfo record; there is no side table to probe.
+  // Holds matched blocks for a sequence (one ref each).
   void Acquire(std::span<const BlockId> blocks);
-  // Allocates n fresh NPU blocks for prefill, evicting cold cache as needed.
-  [[nodiscard]] Result<std::vector<BlockId>> AllocBlocks(int64_t n);
-  // Allocates one more NPU block for a decoding sequence.
-  [[nodiscard]] Result<BlockId> AppendBlock();
+  // Appends n fresh NPU blocks to `out` (a sequence's block table), evicting
+  // cold cache as needed. All or nothing: on failure `out` is untouched.
+  [[nodiscard]] Status AllocBlocks(int64_t n, std::vector<BlockId>* out);
+  // Appends one more NPU block for a decoding sequence: AllocBlocks(1, out).
+  [[nodiscard]] Status AppendBlock(std::vector<BlockId>* out) { return AllocBlocks(1, out); }
   // Copies blocks to `dst` (timed through the TransferFn); used by explicit
-  // checkpointing and by the background swapper.
+  // checkpointing and by the background swapper. Each copied block carries a
+  // transfer pin until the copy lands.
   void Copy(std::span<const BlockId> blocks, Tier dst, std::function<void()> on_complete);
-  // Releases a sequence's pins. Cached blocks stay preserved; private ones die.
+  // Releases a sequence's refs. Cached blocks stay preserved; private ones
+  // die (and with them any transfer pin still on them).
   void Free(std::span<const BlockId> blocks);
 
   // ---- preservation (cache commit) ----------------------------------------
@@ -185,6 +191,9 @@ class RtcMaster {
   const BlockPool& pool() const { return pool_; }
   int64_t npu_blocks_used() const { return pool_.used(Tier::kNpu); }
   int64_t npu_blocks_free() const { return pool_.free_blocks(Tier::kNpu); }
+  // Live blocks held by an in-flight populate or copy; 0 once the simulator
+  // has drained.
+  int64_t pinned_blocks() const { return pool_.pinned_blocks(); }
   size_t index_nodes() const { return tree_.NodeCount(); }
   // The prefix index itself, read-only (audits and tests).
   const CacheTree& index() const { return tree_; }
@@ -201,7 +210,9 @@ class RtcMaster {
  private:
   using Tree = CacheTree;
 
-  MatchInfo BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens);
+  // The match over `blocks` with its NPU-resident prefix split out, or a
+  // miss (no blocks, no tokens) when one of them no longer exists.
+  MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) const;
   // Lazily registers this cache's trace track; -1 when tracing is disabled.
   int TracePid();
   void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockKey> keys,
@@ -210,13 +221,15 @@ class RtcMaster {
   void MaybeArmSwap();
   void SwapScan();
   // Recomputes a node's eviction candidacy and classes from its blocks'
-  // ref counts, pins and residency (BlockRun, RadixTree::SetEvictable).
-  // Every ref-count, pin and residency change of a cached block calls this.
+  // ref counts, transfer pins and residency (BlockRun,
+  // RadixTree::SetEvictable). Every ref-count, pin and residency change of a
+  // cached block calls this.
   void Refresh(Tree::Node* node);
   // Refresh() for the index nodes holding `blocks` (blocks that no longer
   // exist or are private are skipped).
   void RefreshOwners(std::span<const BlockId> blocks);
-  // Releases one transfer pin per block (no Refresh).
+  // Releases one transfer pin per block (no Refresh); blocks destroyed
+  // mid-transfer are skipped.
   void Unpin(std::span<const BlockId> blocks);
   // Copy(); with `demote` (background swap-out), the NPU copy of every block
   // that landed and is still unreferenced is dropped when the copy lands.
@@ -239,7 +252,6 @@ class RtcMaster {
   PopulateTicket next_ticket_ = 1;
   std::unordered_map<PopulateTicket, int> inflight_populates_;  // remaining groups
   std::unordered_map<PopulateTicket, std::function<void()>> populate_callbacks_;
-  std::unordered_map<BlockId, int> populate_pins_;  // blocks mid-flight
 
   RtcStats stats_;
   int64_t last_npu_used_ = 0;

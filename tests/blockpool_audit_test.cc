@@ -1,16 +1,21 @@
-// BlockPool invariant audit: a randomized operation stream (allocate, pin,
-// commit, tier-promote, unref, evict) checked after every step against a
-// shadow model. The audited invariants:
+// BlockPool invariant audit: a randomized operation stream (allocate, ref,
+// commit, tier-promote, unref, evict, transfer pin/unpin) checked after
+// every step against a shadow model. The audited invariants:
 //   * per-tier used() equals the number of live blocks resident on the tier,
 //     and never exceeds capacity;
 //   * ref_count never goes negative; an unreferenced *uncached* block is
 //     destroyed immediately, an unreferenced cached block is preserved until
 //     evicted;
 //   * failed Allocate/AddResidency calls leave the pool untouched (no
-//     partial allocation).
+//     partial allocation), and Allocate appends to its out-vector, keeping
+//     what is already there and appending nothing when it fails;
+//   * each block's pins match the transfers outstanding on it, an Unpin of a
+//     destroyed block's id touches nothing (not the slot's next occupant),
+//     and pinned_blocks() counts the live blocks with a pin.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -25,6 +30,7 @@ struct ShadowBlock {
   int32_t ref = 0;
   uint8_t residency = 0;
   bool cached = false;
+  int pins = 0;
 };
 
 class Audit {
@@ -34,6 +40,7 @@ class Audit {
 
   void Check() const {
     int64_t used[3] = {0, 0, 0};
+    int64_t pinned = 0;
     for (const auto& [id, sb] : *shadow_) {
       ASSERT_TRUE(pool_->Exists(id)) << "block " << id << " vanished";
       const BlockInfo& info = pool_->info(id);
@@ -41,6 +48,8 @@ class Audit {
       EXPECT_GE(info.ref_count, 0) << "block " << id;
       EXPECT_EQ(info.residency, sb.residency) << "block " << id;
       EXPECT_EQ(info.cached(), sb.cached) << "block " << id;
+      EXPECT_EQ(info.pins, sb.pins) << "block " << id;
+      pinned += sb.pins > 0 ? 1 : 0;
       for (Tier tier : {Tier::kNpu, Tier::kDram, Tier::kSsd}) {
         if (info.resident(tier)) {
           ++used[static_cast<size_t>(tier)];
@@ -53,6 +62,7 @@ class Audit {
       }
     }
     EXPECT_EQ(pool_->total_blocks(), shadow_->size());
+    EXPECT_EQ(pool_->pinned_blocks(), pinned);
     for (Tier tier : {Tier::kNpu, Tier::kDram, Tier::kSsd}) {
       EXPECT_EQ(pool_->used(tier), used[static_cast<size_t>(tier)])
           << "tier " << TierToString(tier) << " accounting drifted";
@@ -85,26 +95,39 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
     Audit audit(&pool, &shadow);
     Rng rng(seed);
     BlockKey next_key = 1;
+    // One id per outstanding transfer pin; an id outlives its block when the
+    // block is destroyed mid-transfer.
+    std::vector<BlockId> transfers;
+    int64_t stale_unpins = 0;
 
     for (int step = 0; step < 2000; ++step) {
-      switch (rng.UniformInt(0, 6)) {
-        case 0: {  // allocate 1..4 private blocks on a random tier
+      switch (rng.UniformInt(0, 8)) {
+        case 0: {  // append 1..4 private blocks on a random tier to a table
           Tier tier = static_cast<Tier>(rng.UniformInt(0, 2));
           int64_t n = rng.UniformInt(1, 4);
           int64_t used_before = pool.used(tier);
-          auto result = pool.Allocate(n, tier);
-          if (result.ok()) {
-            for (BlockId id : *result) {
-              shadow[id] = ShadowBlock{1, TierBit(tier), false};
+          // The table already holds entries (a sequence's earlier blocks).
+          std::vector<BlockId> table(static_cast<size_t>(rng.UniformInt(0, 3)), kInvalidBlock);
+          const std::vector<BlockId> held = table;
+          Status status = pool.Allocate(n, tier, &table);
+          ASSERT_GE(table.size(), held.size());
+          EXPECT_TRUE(std::equal(held.begin(), held.end(), table.begin()))
+              << "Allocate rewrote entries already in the table";
+          if (status.ok()) {
+            ASSERT_EQ(table.size(), held.size() + static_cast<size_t>(n));
+            for (size_t i = held.size(); i < table.size(); ++i) {
+              EXPECT_EQ(shadow.count(table[i]), 0u) << "Allocate handed out a live id";
+              shadow[table[i]] = ShadowBlock{1, TierBit(tier), false, 0};
             }
           } else {
-            EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+            EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+            EXPECT_EQ(table.size(), held.size()) << "failed Allocate appended blocks";
             EXPECT_GT(pool.used(tier) + n, pool.capacity(tier));
             EXPECT_EQ(pool.used(tier), used_before) << "failed Allocate leaked blocks";
           }
           break;
         }
-        case 1: {  // pin
+        case 1: {  // ref
           BlockId id = PickLive(rng, shadow);
           if (id != kInvalidBlock) {
             pool.Ref(id);
@@ -127,7 +150,7 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
         case 3: {  // commit: private -> cached content block
           BlockId id = PickLive(rng, shadow);
           if (id != kInvalidBlock && !shadow[id].cached) {
-            pool.SetKey(id, next_key);
+            pool.Commit(id, next_key, nullptr);
             shadow[id].cached = true;
             ++next_key;
           }
@@ -161,7 +184,7 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
           shadow[id].residency &= static_cast<uint8_t>(~TierBit(tier));
           break;
         }
-        case 6: {  // evict: destroy an unreferenced cached block
+        case 6: {  // evict: destroy an unreferenced cached block (pins die with it)
           BlockId victim = kInvalidBlock;
           for (const auto& [id, sb] : shadow) {
             if (sb.ref == 0) {
@@ -176,6 +199,32 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
           }
           break;
         }
+        case 7: {  // a transfer starts: pin a live block
+          BlockId id = PickLive(rng, shadow);
+          if (id != kInvalidBlock) {
+            pool.Pin(id);
+            ++shadow[id].pins;
+            transfers.push_back(id);
+          }
+          break;
+        }
+        case 8: {  // a transfer lands: unpin its block, which may be gone
+          if (transfers.empty()) {
+            break;
+          }
+          size_t i = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(transfers.size()) - 1));
+          BlockId id = transfers[i];
+          transfers.erase(transfers.begin() + static_cast<ptrdiff_t>(i));
+          pool.Unpin(id);
+          auto it = shadow.find(id);
+          if (it != shadow.end()) {
+            --it->second.pins;
+          } else {
+            ++stale_unpins;  // Check() sees whether the slot's new occupant kept its pins
+          }
+          break;
+        }
       }
       audit.Check();
       if (::testing::Test::HasFatalFailure()) {
@@ -184,6 +233,7 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
     }
     // The stream must have actually exercised the interesting paths.
     EXPECT_GT(shadow.size(), 0u);
+    EXPECT_GT(stale_unpins, 0) << "seed " << seed;
   }
 }
 
@@ -192,20 +242,24 @@ TEST(BlockPoolAuditTest, ExhaustedTierRejectsWithoutPartialAllocation) {
   config.npu_capacity = 4;
   config.dram_capacity = 4;
   BlockPool pool(config);
-  auto a = pool.Allocate(3, Tier::kNpu);
-  ASSERT_TRUE(a.ok());
-  auto b = pool.Allocate(2, Tier::kNpu);
-  ASSERT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kResourceExhausted);
+  std::vector<BlockId> table;
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &table).ok());
+  Status refused = pool.Allocate(2, Tier::kNpu, &table);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(pool.used(Tier::kNpu), 3) << "failed allocation changed usage";
   EXPECT_EQ(pool.total_blocks(), 3u);
+  EXPECT_EQ(table.size(), 3u) << "failed allocation appended blocks";
   // SSD is unbounded backing store.
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd).ok());
+  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, &table).ok());
+  EXPECT_EQ(table.size(), 1003u);
 }
 
 TEST(BlockPoolAuditTest, PromoteThenDemoteKeepsOneCopyAccounted) {
   BlockPool pool(BlockPoolConfig{});
-  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  std::vector<BlockId> table;
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &table).ok());
+  BlockId id = table[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));

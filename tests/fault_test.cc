@@ -277,14 +277,14 @@ TEST_F(FaultToleranceTest, ReplacementOnCrashedTesNpusCanFillItsKvBudget) {
   // Warm cache: 90% of the NPU blocks preserved and unreferenced.
   rtc::RtcMaster& warm_cache = te1->engine().rtc();
   const int64_t warm = warm_cache.config().pool.npu_capacity * 9 / 10;
-  auto blocks = warm_cache.AllocBlocks(warm);
-  ASSERT_TRUE(blocks.ok());
+  std::vector<rtc::BlockId> blocks;
+  ASSERT_TRUE(warm_cache.AllocBlocks(warm, &blocks).ok());
   std::vector<TokenId> tokens(static_cast<size_t>(warm * warm_cache.config().block_size));
   for (size_t i = 0; i < tokens.size(); ++i) {
     tokens[i] = static_cast<TokenId>(i % 30000 + 1);
   }
-  warm_cache.Preserve(tokens, *blocks);
-  warm_cache.Free(*blocks);
+  warm_cache.Preserve(tokens, blocks);
+  warm_cache.Free(blocks);
   ASSERT_EQ(warm_cache.npu_blocks_used(), warm);
   ASSERT_GT(npu->hbm_used(), 0u);
 
@@ -296,7 +296,8 @@ TEST_F(FaultToleranceTest, ReplacementOnCrashedTesNpusCanFillItsKvBudget) {
   const int64_t fill = cache.config().pool.npu_capacity * 95 / 100;
   // Before the fix the device still carried te1's cache and this allocation
   // aborted on the RTC executor's HBM check.
-  ASSERT_TRUE(cache.AllocBlocks(fill).ok());
+  std::vector<rtc::BlockId> filled;
+  ASSERT_TRUE(cache.AllocBlocks(fill, &filled).ok());
   EXPECT_EQ(npu->hbm_used(), static_cast<Bytes>(fill) * cache.config().bytes_per_block);
   // The dead TE's cache can still change (in-flight transfers, eviction)
   // without charging the device again.

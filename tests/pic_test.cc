@@ -31,7 +31,8 @@ class RtcPicTest : public ::testing::Test {
 
   void PreserveTokens(const std::vector<TokenId>& tokens) {
     int64_t n = static_cast<int64_t>(tokens.size()) / 16;
-    auto blocks = master_->AllocBlocks(n).value();
+    std::vector<rtc::BlockId> blocks;
+    ASSERT_TRUE(master_->AllocBlocks(n, &blocks).ok());
     master_->Preserve(tokens, blocks);
     master_->Free(blocks);
   }
@@ -90,7 +91,8 @@ TEST_F(RtcPicTest, DisabledByDefault) {
   config.pool.npu_capacity = 64;
   rtc::RtcMaster master(&sim_, config);
   auto doc = Iota(64, 5000);
-  auto blocks = master.AllocBlocks(4).value();
+  std::vector<rtc::BlockId> blocks;
+  ASSERT_TRUE(master.AllocBlocks(4, &blocks).ok());
   master.Preserve(doc, blocks);
   master.Free(blocks);
   EXPECT_EQ(master.MatchPositionIndependent(doc, 0).matched_tokens, 0);

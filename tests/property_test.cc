@@ -137,9 +137,9 @@ TEST_P(BlockPoolPropertyTest, UsageMatchesShadowAccounting) {
     int op = static_cast<int>(rng.UniformInt(0, 5));
     if (op <= 1) {  // allocate
       int64_t n = rng.UniformInt(1, 4);
-      auto blocks = pool.Allocate(n, rtc::Tier::kNpu);
-      if (blocks.ok()) {
-        for (auto id : *blocks) {
+      std::vector<rtc::BlockId> blocks;
+      if (pool.Allocate(n, rtc::Tier::kNpu, &blocks).ok()) {
+        for (auto id : blocks) {
           live.push_back(id);
           refs[id] = 1;
         }

@@ -21,6 +21,18 @@
 namespace deepserve::rtc {
 namespace {
 
+// Allocation into a fresh block table; the test fails if it is refused.
+std::vector<BlockId> Alloc(RtcMaster& master, int64_t n) {
+  std::vector<BlockId> out;
+  EXPECT_TRUE(master.AllocBlocks(n, &out).ok());
+  return out;
+}
+std::vector<BlockId> Alloc(BlockPool& pool, int64_t n, Tier tier) {
+  std::vector<BlockId> out;
+  EXPECT_TRUE(pool.Allocate(n, tier, &out).ok());
+  return out;
+}
+
 std::vector<TokenId> Tokens(std::initializer_list<int> ids) {
   std::vector<TokenId> out;
   for (int id : ids) {
@@ -163,23 +175,27 @@ TEST(RadixTreeTest, MatchDoesNotCreateNodes) {
 
 TEST(BlockPoolTest, AllocateRespectsCapacity) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 2});
-  auto a = pool.Allocate(4, Tier::kNpu);
-  ASSERT_TRUE(a.ok());
+  std::vector<BlockId> out;
+  ASSERT_TRUE(pool.Allocate(4, Tier::kNpu, &out).ok());
+  EXPECT_EQ(out.size(), 4u);
   EXPECT_EQ(pool.free_blocks(Tier::kNpu), 0);
-  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu).ok());
-  EXPECT_TRUE(pool.Allocate(2, Tier::kDram).ok());
+  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu, &out).ok());
+  EXPECT_TRUE(pool.Allocate(2, Tier::kDram, &out).ok());
+  EXPECT_EQ(out.size(), 6u);
 }
 
 TEST(BlockPoolTest, FailedAllocateIsAtomic) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 0});
-  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu).ok());
-  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu).ok());
+  std::vector<BlockId> out;
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &out).ok());
+  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu, &out).ok());
   EXPECT_EQ(pool.used(Tier::kNpu), 3);
+  EXPECT_EQ(out.size(), 3u);
 }
 
 TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(2, Tier::kNpu).value();
+  auto blocks = Alloc(pool, 2, Tier::kNpu);
   pool.Unref(blocks[0]);
   EXPECT_FALSE(pool.Exists(blocks[0]));
   EXPECT_EQ(pool.used(Tier::kNpu), 1);
@@ -187,8 +203,8 @@ TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
 
 TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(1, Tier::kNpu).value();
-  pool.SetKey(blocks[0], 0xabc);
+  auto blocks = Alloc(pool, 1, Tier::kNpu);
+  pool.Commit(blocks[0], 0xabc, nullptr);
   pool.Unref(blocks[0]);
   EXPECT_TRUE(pool.Exists(blocks[0]));
   EXPECT_EQ(pool.info(blocks[0]).ref_count, 0);
@@ -196,7 +212,7 @@ TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
 
 TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  BlockId id = Alloc(pool, 1, Tier::kNpu)[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));
@@ -212,9 +228,9 @@ TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
 
 TEST(BlockPoolTest, DestroyReleasesAllTiers) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  BlockId id = Alloc(pool, 1, Tier::kNpu)[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
-  pool.SetKey(id, 7);
+  pool.Commit(id, 7, nullptr);
   pool.Unref(id);
   pool.Destroy(id);
   EXPECT_EQ(pool.used(Tier::kNpu), 0);
@@ -224,7 +240,8 @@ TEST(BlockPoolTest, DestroyReleasesAllTiers) {
 
 TEST(BlockPoolTest, SsdIsUnbounded) {
   BlockPool pool({.npu_capacity = 1, .dram_capacity = 1});
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd).ok());
+  std::vector<BlockId> out;
+  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, &out).ok());
 }
 
 // ---------------- RtcMaster ----------------
@@ -245,7 +262,7 @@ class RtcMasterTest : public ::testing::Test {
   // Simulates a prefill: allocate blocks for the tokens, preserve, release.
   std::vector<BlockId> PrefillAndPreserve(const std::vector<TokenId>& tokens) {
     int64_t n = static_cast<int64_t>(tokens.size()) / 16;
-    auto blocks = master_->AllocBlocks(n).value();
+    auto blocks = Alloc(*master_, n);
     master_->Preserve(tokens, blocks);
     master_->Free(blocks);
     return blocks;
@@ -293,9 +310,10 @@ TEST_F(RtcMasterTest, AcquirePinsAgainstEviction) {
   auto info = master_->MatchByPrefixToken(tokens);
   master_->Acquire(info.blocks);
   // Now demand more blocks than remain: eviction cannot touch pinned blocks.
-  EXPECT_FALSE(master_->AllocBlocks(10).ok());
+  std::vector<BlockId> out;
+  EXPECT_FALSE(master_->AllocBlocks(10, &out).ok());
   master_->Free(info.blocks);
-  EXPECT_TRUE(master_->AllocBlocks(10).ok());  // eviction now allowed
+  EXPECT_TRUE(master_->AllocBlocks(10, &out).ok());  // eviction now allowed
 }
 
 TEST_F(RtcMasterTest, EvictionDiscardsLruEntry) {
@@ -306,8 +324,8 @@ TEST_F(RtcMasterTest, EvictionDiscardsLruEntry) {
   sim_.RunUntil(sim_.Now() + 100);
   PrefillAndPreserve(b);
   // Pool full of cached blocks; allocating forces eviction of LRU entry (a).
-  auto blocks = master_->AllocBlocks(4);
-  ASSERT_TRUE(blocks.ok());
+  std::vector<BlockId> blocks;
+  ASSERT_TRUE(master_->AllocBlocks(4, &blocks).ok());
   EXPECT_FALSE(master_->MatchByPrefixToken(a).hit());
   EXPECT_TRUE(master_->MatchByPrefixToken(b).hit());
   EXPECT_GT(master_->stats().discarded_blocks, 0);
@@ -315,7 +333,7 @@ TEST_F(RtcMasterTest, EvictionDiscardsLruEntry) {
 
 TEST_F(RtcMasterTest, MatchByIdRoundTrip) {
   auto tokens = Iota(48);
-  auto blocks = master_->AllocBlocks(3).value();
+  auto blocks = Alloc(*master_, 3);
   ASSERT_TRUE(master_->PreserveById("ctx-1", tokens, blocks).ok());
   master_->Free(blocks);
   auto info = master_->MatchByID("ctx-1");
@@ -326,7 +344,7 @@ TEST_F(RtcMasterTest, MatchByIdRoundTrip) {
 }
 
 TEST_F(RtcMasterTest, CacheEntriesAreSortedById) {
-  auto blocks = master_->AllocBlocks(3).value();
+  auto blocks = Alloc(*master_, 3);
   // Insert in non-sorted id order; the snapshot must come back sorted
   // regardless of unordered_map hash order.
   ASSERT_TRUE(master_->PreserveById("ctx-b", Iota(48, 100), blocks).ok());
@@ -345,7 +363,7 @@ TEST_F(RtcMasterTest, CacheEntriesAreSortedById) {
 }
 
 TEST_F(RtcMasterTest, PreserveByIdRejectsBadInput) {
-  auto blocks = master_->AllocBlocks(1).value();
+  auto blocks = Alloc(*master_, 1);
   EXPECT_FALSE(master_->PreserveById("", Iota(16), blocks).ok());
   EXPECT_FALSE(master_->PreserveById("x", Iota(5), blocks).ok());  // < 1 block
   master_->Free(blocks);
@@ -353,7 +371,7 @@ TEST_F(RtcMasterTest, PreserveByIdRejectsBadInput) {
 
 TEST_F(RtcMasterTest, IdEntrySurvivesImplicitMatchToo) {
   auto tokens = Iota(48);
-  auto blocks = master_->AllocBlocks(3).value();
+  auto blocks = Alloc(*master_, 3);
   ASSERT_TRUE(master_->PreserveById("ctx", tokens, blocks).ok());
   master_->Free(blocks);
   EXPECT_TRUE(master_->MatchByPrefixToken(tokens).hit());
@@ -362,7 +380,7 @@ TEST_F(RtcMasterTest, IdEntrySurvivesImplicitMatchToo) {
 TEST_F(RtcMasterTest, CopyToDramThenEvictKeepsEntryMatchable) {
   Reset(8);
   auto tokens = Iota(64);
-  auto blocks = master_->AllocBlocks(4).value();
+  auto blocks = Alloc(*master_, 4);
   master_->Preserve(tokens, blocks);
   bool copied = false;
   master_->Copy(blocks, Tier::kDram, [&] { copied = true; });
@@ -370,7 +388,7 @@ TEST_F(RtcMasterTest, CopyToDramThenEvictKeepsEntryMatchable) {
   EXPECT_TRUE(copied);
   master_->Free(blocks);
   // Fill the NPU: the DRAM-backed entry gets demoted, not discarded.
-  ASSERT_TRUE(master_->AllocBlocks(8).ok());
+  Alloc(*master_, 8);
   auto info = master_->MatchByPrefixToken(tokens);
   EXPECT_EQ(info.matched_tokens, 64);
   EXPECT_TRUE(info.needs_populate());
@@ -382,12 +400,12 @@ TEST_F(RtcMasterTest, CopyToDramThenEvictKeepsEntryMatchable) {
 TEST_F(RtcMasterTest, PopulateBringsBlocksBack) {
   Reset(8);
   auto tokens = Iota(64);
-  auto blocks = master_->AllocBlocks(4).value();
+  auto blocks = Alloc(*master_, 4);
   master_->Preserve(tokens, blocks);
   master_->Copy(blocks, Tier::kDram, nullptr);
   sim_.Run();
   master_->Free(blocks);
-  auto filler = master_->AllocBlocks(8).value();  // forces NPU drop
+  auto filler = Alloc(*master_, 8);  // forces NPU drop
   master_->Free(filler);
   auto info = master_->MatchByPrefixToken(tokens);
   ASSERT_TRUE(info.needs_populate());
@@ -437,7 +455,7 @@ TEST_F(RtcMasterTest, PrefixCachingDisabled) {
   config.enable_prefix_caching = false;
   RtcMaster master(&sim_, config);
   auto tokens = Iota(64);
-  auto blocks = master.AllocBlocks(4).value();
+  auto blocks = Alloc(master, 4);
   master.Preserve(tokens, blocks);
   master.Free(blocks);
   EXPECT_FALSE(master.MatchByPrefixToken(tokens).hit());
@@ -460,6 +478,101 @@ TEST_F(RtcMasterTest, TokenHitRateTracksReuse) {
   PrefillAndPreserve(tokens);
   master_->MatchByPrefixToken(tokens);  // hit: 64 requested, 64 matched
   EXPECT_NEAR(master_->stats().TokenHitRate(), 0.5, 0.01);
+}
+
+// ---------------- Transfer pins ----------------
+//
+// A block carries one transfer pin per in-flight copy that moves it; a
+// pinned run is never an eviction victim. These tests hold every transfer
+// in a queue so they control when each copy lands.
+class RtcPinTest : public RtcMasterTest {
+ protected:
+  RtcPinTest() {
+    Reset(8);
+    master_->SetTransferFn([this](Tier, Tier, Bytes, std::function<void()> done) {
+      landings_.push_back(std::move(done));
+    });
+  }
+
+  // Completes the oldest queued transfer.
+  void LandOne() {
+    ASSERT_FALSE(landings_.empty());
+    std::function<void()> done = std::move(landings_.front());
+    landings_.pop_front();
+    done();
+  }
+
+  bool NpuResident(std::span<const BlockId> blocks) const {
+    return std::all_of(blocks.begin(), blocks.end(), [this](BlockId id) {
+      const BlockInfo* info = master_->pool().Find(id);
+      return info != nullptr && info->resident(Tier::kNpu);
+    });
+  }
+
+  std::deque<std::function<void()>> landings_;
+};
+
+TEST_F(RtcPinTest, OverlappingTransfersKeepRunPinnedUntilLastLanding) {
+  auto tokens = Iota(64);
+  std::vector<BlockId> run = PrefillAndPreserve(tokens);  // cached, unreferenced
+  master_->Copy(run, Tier::kDram, nullptr);
+  master_->Copy(run, Tier::kSsd, nullptr);
+  ASSERT_EQ(landings_.size(), 2u);
+  for (BlockId id : run) {
+    EXPECT_EQ(master_->pool().info(id).pins, 2);
+  }
+  EXPECT_EQ(master_->pinned_blocks(), 4);
+  const int64_t capacity = master_->config().pool.npu_capacity;
+
+  // Both copies in flight: nothing may be dropped or discarded.
+  EXPECT_FALSE(master_->EnsureNpuFree(capacity).ok());
+  EXPECT_TRUE(NpuResident(run));
+  // The DRAM copy lands; the SSD copy still holds every block.
+  LandOne();
+  EXPECT_EQ(master_->pinned_blocks(), 4);
+  EXPECT_FALSE(master_->EnsureNpuFree(capacity).ok());
+  EXPECT_TRUE(NpuResident(run)) << "run evicted while a copy of it was still in flight";
+  EXPECT_EQ(master_->stats().evicted_blocks, 0);
+  EXPECT_EQ(master_->stats().discarded_blocks, 0);
+
+  // The last copy lands: the run, now backed on DRAM and SSD, is droppable.
+  LandOne();
+  EXPECT_EQ(master_->pinned_blocks(), 0);
+  EXPECT_TRUE(master_->EnsureNpuFree(capacity).ok());
+  EXPECT_EQ(master_->stats().evicted_blocks, 4);
+  EXPECT_EQ(master_->stats().discarded_blocks, 0);
+  EXPECT_EQ(master_->MatchByPrefixToken(tokens).matched_tokens, 64);
+}
+
+TEST_F(RtcPinTest, PinOfDestroyedBlockDiesWithIt) {
+  std::vector<BlockId> old = Alloc(*master_, 1);  // private: dies on Free
+  master_->Copy(old, Tier::kDram, nullptr);
+  master_->Copy(old, Tier::kSsd, nullptr);
+  EXPECT_EQ(master_->pinned_blocks(), 1);
+  master_->Free(old);
+  EXPECT_FALSE(master_->pool().Exists(old[0]));
+  EXPECT_EQ(master_->pinned_blocks(), 0) << "a destroyed block kept its pins";
+
+  // The freed slot is reused under a new generation.
+  std::vector<BlockId> fresh = Alloc(*master_, 1);
+  ASSERT_NE(fresh[0], old[0]);
+  ASSERT_EQ(fresh[0] & 0xffffffff, old[0] & 0xffffffff) << "slot not reused";
+
+  // The old DRAM copy lands: the new occupant has no pin to lose.
+  LandOne();
+  EXPECT_EQ(master_->pool().info(fresh[0]).pins, 0);
+  EXPECT_EQ(master_->pinned_blocks(), 0);
+
+  // Nor does a stale landing take the new occupant's own pin.
+  master_->Copy(fresh, Tier::kDram, nullptr);
+  EXPECT_EQ(master_->pool().info(fresh[0]).pins, 1);
+  LandOne();  // the old SSD copy
+  EXPECT_EQ(master_->pool().info(fresh[0]).pins, 1) << "stale landing unpinned the new occupant";
+  EXPECT_EQ(master_->pinned_blocks(), 1);
+  LandOne();  // its own copy
+  EXPECT_EQ(master_->pool().info(fresh[0]).pins, 0);
+  EXPECT_EQ(master_->pinned_blocks(), 0);
+  master_->Free(fresh);
 }
 
 // ---------------- Victim-sequence equivalence ----------------
@@ -709,14 +822,15 @@ class RtcVictimSequenceTest : public ::testing::Test {
                     static_cast<int64_t>(seq.blocks.size());
     auto before = Snapshot();
     Expected expected = ReferenceEnsureNpuFree(fresh);
-    auto blocks = master_->AllocBlocks(fresh);
+    size_t held = seq.blocks.size();
+    Status status = master_->AllocBlocks(fresh, &seq.blocks);
     CheckEviction(before, expected);
-    if (!blocks.ok()) {
+    if (!status.ok()) {
+      EXPECT_EQ(seq.blocks.size(), held) << "a refused allocation appended blocks";
       master_->Free(seq.blocks);
       return;
     }
-    Track(*blocks);
-    seq.blocks.insert(seq.blocks.end(), blocks->begin(), blocks->end());
+    Track(std::span<const BlockId>(seq.blocks).subspan(held));
     live_.push_back(std::move(seq));
   }
 
@@ -788,6 +902,13 @@ class RtcVictimSequenceTest : public ::testing::Test {
         EXPECT_TRUE(expected_swaps_.empty()) << "reference swap victims left unswapped";
         expected_swaps_.clear();
       }
+      // The O(1) gauge against the harness's own count: live blocks with a
+      // transfer outstanding (the pins of destroyed blocks died with them).
+      int64_t pinned = 0;
+      for (const auto& [id, count] : pins_) {
+        pinned += pool().Exists(id) ? 1 : 0;
+      }
+      EXPECT_EQ(master_->pinned_blocks(), pinned);
       if (HasFailure()) {
         FAIL() << "seed " << seed << " step " << step;
       }
@@ -830,7 +951,7 @@ TEST(RtcExecutorTest, MirrorsBlockTrafficOntoNpu) {
   RtcMaster master(&sim, config);
   RtcExecutor executor(&npu, config.bytes_per_block);
   master.AddListener(&executor);
-  auto blocks = master.AllocBlocks(10).value();
+  auto blocks = Alloc(master, 10);
   EXPECT_EQ(npu.hbm_used(), 40ull << 20);
   master.Free(blocks);
   EXPECT_EQ(npu.hbm_used(), 0u);
