@@ -93,6 +93,13 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism, calendar walk
 # the tracked BENCH_perf.json.
 ./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
 
+echo "==> simbench smoke: one short chaos_pd run of the benchmark"
+# Builds simbench from this checkout (Release, into .bench_build/) and runs
+# the workload on the replicated control log for 1 s. Exits non-zero if the
+# build or the run fails, so a src/ API change that breaks simbench/simbench.cc
+# fails here.
+python3 simbench/run.py --workload chaos_pd --seed 1 --seconds 1 --trace 0 >/dev/null
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "==> --fast: skipping sanitizer pass"
   exit 0

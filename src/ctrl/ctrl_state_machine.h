@@ -26,28 +26,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "common/types.h"
-#include "workload/request.h"
+#include "ctrl/log_record.h"
 
 namespace deepserve::ctrl {
-
-// One sequenced mutation. `seq` is global across domains (the log is shared);
-// `domain` routes the record to one state machine; `type` is domain-specific.
-// Payload is deliberately lowest-common-denominator — a flat int vector —
-// so records are trivially comparable, hashable, and replayable. The one
-// exception is a dispatched request (JobTable kJobCreated): it is immutable,
-// so the record, the leader and the standby share it instead of widening
-// its prompt into `ints`.
-struct LogRecord {
-  uint64_t seq = 0;   // assigned by ControlLog::Append
-  TimeNs time = 0;    // sim time at append (replay uses this, never Now())
-  int32_t domain = 0; // ControlLog::RegisterDomain id
-  int32_t type = 0;   // domain-specific record type
-  std::vector<int64_t> ints;
-  workload::SharedRequest request;
-};
 
 class CtrlStateMachine {
  public:

@@ -1,6 +1,8 @@
 #include "ctrl/job_table.h"
 
 #include <algorithm>
+#include <utility>
+#include <variant>
 
 #include "common/logging.h"
 
@@ -34,100 +36,70 @@ const workload::JobRecord* JobTable::FindJob(workload::JobId id) const {
 void JobTable::Apply(const LogRecord& record) {
   DS_CHECK(record.domain == domain());
   ++applied_;
-  switch (record.type) {
-    case kTeAdded: {
-      DS_CHECK(record.ints.size() == 2);
-      const int64_t group = record.ints[0];
-      DS_CHECK(group >= 0 && group < 3);
-      groups_[group].push_back(static_cast<workload::TeId>(record.ints[1]));
-      break;
-    }
-    case kTeRemoved: {
-      DS_CHECK(record.ints.size() == 1);
-      const auto id = static_cast<workload::TeId>(record.ints[0]);
-      for (auto& group : groups_) {
-        group.erase(std::remove(group.begin(), group.end(), id), group.end());
-      }
-      break;
-    }
-    case kJobCreated: {
-      DS_CHECK(record.ints.size() == 2 && record.request != nullptr);
-      const auto job_id = static_cast<workload::JobId>(record.ints[0]);
-      DS_CHECK(job_id == next_job_);
-      ++next_job_;
-      workload::JobRecord job;
-      job.id = job_id;
-      job.request = record.request->id;
-      job.type = workload::JobType::kChatCompletion;
-      job.state = workload::JobState::kRunning;
-      job.created = record.time;
-      job_index_[job.id] = jobs_.size();
-      jobs_.push_back(std::move(job));
-      Outstanding& outstanding = outstanding_[job_id];
-      outstanding.retries = static_cast<int>(record.ints[1]);
-      outstanding.request = record.request;
-      break;
-    }
-    case kJobTeBound: {
-      DS_CHECK(record.ints.size() == 2);
-      auto it = outstanding_.find(static_cast<workload::JobId>(record.ints[0]));
-      DS_CHECK(it != outstanding_.end());
-      it->second.tes.push_back(static_cast<workload::TeId>(record.ints[1]));
-      break;
-    }
-    case kTaskCreated: {
-      DS_CHECK(record.ints.size() == 4);
-      const auto task_id = static_cast<workload::TaskId>(record.ints[0]);
-      DS_CHECK(task_id == next_task_);
-      ++next_task_;
-      workload::TaskRecord task;
-      task.id = task_id;
-      task.job = static_cast<workload::JobId>(record.ints[1]);
-      task.type = static_cast<workload::TaskType>(record.ints[2]);
-      task.te = static_cast<workload::TeId>(record.ints[3]);
-      task.state = workload::TaskState::kDispatched;
-      task.created = record.time;
-      task.dispatched = record.time;
-      task_index_[task.id] = tasks_.size();
-      jobs_[job_index_.at(task.job)].tasks.push_back(task.id);
-      tasks_.push_back(task);
-      break;
-    }
-    case kTaskCompleted: {
-      DS_CHECK(record.ints.size() == 1);
-      workload::TaskRecord& task =
-          tasks_[task_index_.at(static_cast<workload::TaskId>(record.ints[0]))];
-      task.state = workload::TaskState::kCompleted;
-      task.completed = record.time;
-      break;
-    }
-    case kJobCompleted: {
-      DS_CHECK(record.ints.size() == 1);
-      const auto job_id = static_cast<workload::JobId>(record.ints[0]);
-      CloseJob(&jobs_[job_index_.at(job_id)], &tasks_, task_index_,
-               workload::JobState::kCompleted, workload::TaskState::kCompleted, record.time);
-      outstanding_.erase(job_id);
-      break;
-    }
-    case kJobFailed: {
-      DS_CHECK(record.ints.size() == 1);
-      const auto job_id = static_cast<workload::JobId>(record.ints[0]);
-      CloseJob(&jobs_[job_index_.at(job_id)], &tasks_, task_index_,
-               workload::JobState::kFailed, workload::TaskState::kFailed, record.time);
-      outstanding_.erase(job_id);
-      break;
-    }
-    case kRrAdvanced: {
-      ++rr_cursor_;
-      break;
-    }
-    case kEpoch: {
-      ++epoch_;
-      break;
-    }
-    default:
-      DS_CHECK(false);
-  }
+  const TimeNs time = record.time;
+  std::visit(
+      Overloaded{
+          [&](const TeAdded& op) { groups_[static_cast<size_t>(op.group)].push_back(op.te); },
+          [&](const TeRemoved& op) {
+            for (auto& group : groups_) {
+              group.erase(std::remove(group.begin(), group.end(), op.te), group.end());
+            }
+          },
+          [&](const JobCreated& op) {
+            DS_CHECK(op.job == next_job_ && op.request != nullptr);
+            ++next_job_;
+            workload::JobRecord job;
+            job.id = op.job;
+            job.request = op.request->id;
+            job.type = workload::JobType::kChatCompletion;
+            job.state = workload::JobState::kRunning;
+            job.created = time;
+            job_index_[job.id] = jobs_.size();
+            jobs_.push_back(std::move(job));
+            Outstanding& outstanding = outstanding_[op.job];
+            outstanding.retries = op.retries;
+            outstanding.request = op.request;
+          },
+          [&](const JobTeBound& op) {
+            auto it = outstanding_.find(op.job);
+            DS_CHECK(it != outstanding_.end());
+            it->second.tes.push_back(op.te);
+          },
+          [&](const TaskCreated& op) {
+            DS_CHECK(op.task == next_task_);
+            ++next_task_;
+            workload::TaskRecord task;
+            task.id = op.task;
+            task.job = op.job;
+            task.type = op.type;
+            task.te = op.te;
+            task.state = workload::TaskState::kDispatched;
+            task.created = time;
+            task.dispatched = time;
+            task_index_[task.id] = tasks_.size();
+            jobs_[job_index_.at(task.job)].tasks.push_back(task.id);
+            tasks_.push_back(task);
+          },
+          [&](const TaskCompleted& op) {
+            workload::TaskRecord& task = tasks_[task_index_.at(op.task)];
+            task.state = workload::TaskState::kCompleted;
+            task.completed = time;
+          },
+          [&](const JobCompleted& op) {
+            CloseJob(&jobs_[job_index_.at(op.job)], &tasks_, task_index_,
+                     workload::JobState::kCompleted, workload::TaskState::kCompleted, time);
+            outstanding_.erase(op.job);
+          },
+          [&](const JobFailed& op) {
+            CloseJob(&jobs_[job_index_.at(op.job)], &tasks_, task_index_,
+                     workload::JobState::kFailed, workload::TaskState::kFailed, time);
+            outstanding_.erase(op.job);
+          },
+          [&](const RrAdvanced&) { ++rr_cursor_; },
+          [&](const Epoch&) { ++epoch_; },
+          [](const auto&) { DS_CHECK(false) << "a TeDirectory record in a JobTable domain"; },
+      },
+      record.op);
 }
 
 uint64_t JobTable::Fingerprint() const {

@@ -28,21 +28,6 @@ namespace deepserve::ctrl {
 
 class JobTable final : public CtrlStateMachine {
  public:
-  enum RecordType : int32_t {
-    kTeAdded = 1,    // ints: [group, te_id]
-    kTeRemoved,      // ints: [te_id] — removed from every group
-    kJobCreated,     // ints: [job_id, retries]; request = the dispatched request
-    kJobTeBound,     // ints: [job_id, te_id] — outstanding request touches this TE
-    kTaskCreated,    // ints: [task_id, job_id, task_type, te_id]
-    kTaskCompleted,  // ints: [task_id]
-    kJobCompleted,   // ints: [job_id] — job + open tasks completed, outstanding erased
-    kJobFailed,      // ints: [job_id] — job + open tasks failed, outstanding erased
-    kRrAdvanced,     // ints: [] — round-robin cursor tick
-    kEpoch,          // ints: [] — a new leader took over this domain
-  };
-
-  enum Group : int64_t { kColocated = 0, kPrefill = 1, kDecode = 2 };
-
   struct Outstanding {
     workload::SharedRequest request;  // shared with the log record and the engines
     std::vector<workload::TeId> tes;  // TEs this request has touched
@@ -65,7 +50,9 @@ class JobTable final : public CtrlStateMachine {
   const workload::JobRecord* FindJob(workload::JobId id) const;
   const std::map<workload::JobId, Outstanding>& outstanding() const { return outstanding_; }
   bool IsOutstanding(workload::JobId id) const { return outstanding_.count(id) != 0; }
-  const std::vector<workload::TeId>& group(Group g) const { return groups_[g]; }
+  const std::vector<workload::TeId>& group(TeGroup g) const {
+    return groups_[static_cast<size_t>(g)];
+  }
   workload::JobId next_job() const { return next_job_; }
   workload::TaskId next_task() const { return next_task_; }
   uint64_t rr_cursor() const { return rr_cursor_; }

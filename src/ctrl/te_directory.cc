@@ -1,5 +1,8 @@
 #include "ctrl/te_directory.h"
 
+#include <utility>
+#include <variant>
+
 #include "common/logging.h"
 
 namespace deepserve::ctrl {
@@ -20,148 +23,93 @@ int64_t TeDirectory::npus_in_use() const {
 void TeDirectory::Apply(const LogRecord& record) {
   DS_CHECK(record.domain == domain());
   ++applied_;
-  switch (record.type) {
-    case kInit: {
-      DS_CHECK(record.ints.size() == 1);
-      DS_CHECK(npu_in_use_.empty());
-      npu_in_use_.assign(static_cast<size_t>(record.ints[0]), 0);
-      break;
+  auto mark_npus = [this](const std::vector<hw::NpuId>& npus, uint8_t in_use) {
+    for (hw::NpuId npu : npus) {
+      DS_CHECK(npu >= 0 && static_cast<size_t>(npu) < npu_in_use_.size());
+      DS_CHECK(npu_in_use_[static_cast<size_t>(npu)] != in_use);
+      npu_in_use_[static_cast<size_t>(npu)] = in_use;
     }
-    case kReservePods: {
-      DS_CHECK(record.ints.size() == 1);
-      prewarmed_pods_ += static_cast<int>(record.ints[0]);
-      break;
-    }
-    case kReserveTes: {
-      DS_CHECK(record.ints.size() == 1);
-      prewarmed_tes_ += static_cast<int>(record.ints[0]);
-      break;
-    }
-    case kNpusAllocated: {
-      for (int64_t npu : record.ints) {
-        DS_CHECK(npu >= 0 && npu < static_cast<int64_t>(npu_in_use_.size()));
-        DS_CHECK(npu_in_use_[static_cast<size_t>(npu)] == 0);
-        npu_in_use_[static_cast<size_t>(npu)] = 1;
-      }
-      break;
-    }
-    case kNpusReleased: {
-      for (int64_t npu : record.ints) {
-        DS_CHECK(npu >= 0 && npu < static_cast<int64_t>(npu_in_use_.size()));
-        DS_CHECK(npu_in_use_[static_cast<size_t>(npu)] != 0);
-        npu_in_use_[static_cast<size_t>(npu)] = 0;
-      }
-      break;
-    }
-    case kTeCreated: {
-      DS_CHECK(!record.ints.empty());
-      const auto id = static_cast<int32_t>(record.ints[0]);
-      DS_CHECK(id == next_te_id_);
-      ++next_te_id_;
-      TeMeta meta;
-      meta.id = id;
-      meta.lifecycle = Lifecycle::kReady;
-      meta.npus.assign(record.ints.begin() + 1, record.ints.end());
-      DS_CHECK(tes_.emplace(id, std::move(meta)).second);
-      break;
-    }
-    case kPipelineStarted: {
-      DS_CHECK(record.ints.size() >= 2);
-      const int64_t pipe = record.ints[0];
-      const auto id = static_cast<int32_t>(record.ints[1]);
-      DS_CHECK(pipe == next_pipeline_);
-      ++next_pipeline_;
-      DS_CHECK(id == next_te_id_);
-      ++next_te_id_;
-      TeMeta meta;
-      meta.id = id;
-      meta.lifecycle = Lifecycle::kProvisioning;
-      meta.pipeline = pipe;
-      meta.npus.assign(record.ints.begin() + 2, record.ints.end());
-      DS_CHECK(tes_.emplace(id, std::move(meta)).second);
-      PipelineMeta pm;
-      pm.id = pipe;
-      pm.te = id;
-      DS_CHECK(pipelines_.emplace(pipe, pm).second);
-      break;
-    }
-    case kPodsConsumed: {
-      DS_CHECK(record.ints.size() == 1);
-      prewarmed_pods_ -= static_cast<int>(record.ints[0]);
-      DS_CHECK(prewarmed_pods_ >= 0);
-      break;
-    }
-    case kWarmTesConsumed: {
-      DS_CHECK(record.ints.size() == 1);
-      prewarmed_tes_ -= static_cast<int>(record.ints[0]);
-      DS_CHECK(prewarmed_tes_ >= 0);
-      break;
-    }
-    case kStageDone: {
-      DS_CHECK(record.ints.size() == 2);
-      auto it = pipelines_.find(record.ints[0]);
-      DS_CHECK(it != pipelines_.end());
-      it->second.stages_done = static_cast<int32_t>(record.ints[1]);
-      break;
-    }
-    case kPipelineDone: {
-      DS_CHECK(record.ints.size() == 1);
-      auto it = pipelines_.find(record.ints[0]);
-      DS_CHECK(it != pipelines_.end());
-      auto te = tes_.find(it->second.te);
-      DS_CHECK(te != tes_.end());
-      DS_CHECK(te->second.lifecycle == Lifecycle::kProvisioning);
-      te->second.lifecycle = Lifecycle::kReady;
-      te->second.pipeline = -1;
-      pipelines_.erase(it);
-      break;
-    }
-    case kPipelineAborted: {
-      DS_CHECK(record.ints.size() == 1);
-      auto it = pipelines_.find(record.ints[0]);
-      DS_CHECK(it != pipelines_.end());
-      auto te = tes_.find(it->second.te);
-      DS_CHECK(te != tes_.end());
-      DS_CHECK(te->second.lifecycle == Lifecycle::kProvisioning);
-      te->second.lifecycle = Lifecycle::kAborted;
-      te->second.pipeline = -1;
-      pipelines_.erase(it);
-      break;
-    }
-    case kTeStopped: {
-      DS_CHECK(record.ints.size() == 1);
-      auto it = tes_.find(static_cast<int32_t>(record.ints[0]));
-      DS_CHECK(it != tes_.end());
-      DS_CHECK(it->second.lifecycle == Lifecycle::kReady);
-      it->second.lifecycle = Lifecycle::kStopped;
-      break;
-    }
-    case kTeCrashed: {
-      DS_CHECK(record.ints.size() == 3);
-      auto it = tes_.find(static_cast<int32_t>(record.ints[0]));
-      DS_CHECK(it != tes_.end());
-      DS_CHECK(it->second.lifecycle == Lifecycle::kReady);
-      it->second.lifecycle = Lifecycle::kFailed;
-      it->second.crash_kind = static_cast<int32_t>(record.ints[1]);
-      it->second.crash_time = record.ints[2];
-      break;
-    }
-    case kTeDetected: {
-      DS_CHECK(record.ints.size() == 1);
-      auto it = tes_.find(static_cast<int32_t>(record.ints[0]));
-      DS_CHECK(it != tes_.end());
-      DS_CHECK(it->second.lifecycle == Lifecycle::kFailed);
-      DS_CHECK(!it->second.detected);
-      it->second.detected = true;
-      break;
-    }
-    case kEpoch: {
-      ++epoch_;
-      break;
-    }
-    default:
-      DS_CHECK(false);
-  }
+  };
+  // Registers the next TE id; `pipeline` is its open pipeline, or -1.
+  auto add_te = [this](workload::TeId id, Lifecycle lifecycle, int64_t pipeline,
+                       const std::vector<hw::NpuId>& npus) {
+    DS_CHECK(id == next_te_id_);
+    ++next_te_id_;
+    TeMeta meta;
+    meta.id = id;
+    meta.lifecycle = lifecycle;
+    meta.npus = npus;
+    meta.pipeline = pipeline;
+    DS_CHECK(tes_.emplace(id, std::move(meta)).second);
+  };
+  auto find_te = [this](workload::TeId id, Lifecycle expected) -> TeMeta& {
+    auto it = tes_.find(id);
+    DS_CHECK(it != tes_.end());
+    DS_CHECK(it->second.lifecycle == expected);
+    return it->second;
+  };
+  // Closes a pipeline, moving its provisioning TE to `lifecycle`.
+  auto close_pipeline = [&](int64_t pipe, Lifecycle lifecycle) {
+    auto it = pipelines_.find(pipe);
+    DS_CHECK(it != pipelines_.end());
+    TeMeta& te = find_te(it->second.te, Lifecycle::kProvisioning);
+    te.lifecycle = lifecycle;
+    te.pipeline = -1;
+    pipelines_.erase(it);
+  };
+  std::visit(
+      Overloaded{
+          [&](const DirectoryInit& op) {
+            DS_CHECK(npu_in_use_.empty());
+            npu_in_use_.assign(static_cast<size_t>(op.num_npus), 0);
+          },
+          [&](const PodsReserved& op) { prewarmed_pods_ += op.count; },
+          [&](const WarmTesReserved& op) { prewarmed_tes_ += op.count; },
+          [&](const NpusAllocated& op) { mark_npus(op.npus, 1); },
+          [&](const NpusReleased& op) { mark_npus(op.npus, 0); },
+          [&](const TeCreated& op) { add_te(op.te, Lifecycle::kReady, -1, op.npus); },
+          [&](const PipelineStarted& op) {
+            DS_CHECK(op.pipe == next_pipeline_);
+            ++next_pipeline_;
+            add_te(op.te, Lifecycle::kProvisioning, op.pipe, op.npus);
+            PipelineMeta pm;
+            pm.id = op.pipe;
+            pm.te = op.te;
+            DS_CHECK(pipelines_.emplace(op.pipe, pm).second);
+          },
+          [&](const PodsConsumed& op) {
+            prewarmed_pods_ -= op.count;
+            DS_CHECK(prewarmed_pods_ >= 0);
+          },
+          [&](const WarmTesConsumed& op) {
+            prewarmed_tes_ -= op.count;
+            DS_CHECK(prewarmed_tes_ >= 0);
+          },
+          [&](const StageDone& op) {
+            auto it = pipelines_.find(op.pipe);
+            DS_CHECK(it != pipelines_.end());
+            it->second.stages_done = op.stage;
+          },
+          [&](const PipelineDone& op) { close_pipeline(op.pipe, Lifecycle::kReady); },
+          [&](const PipelineAborted& op) { close_pipeline(op.pipe, Lifecycle::kAborted); },
+          [&](const TeStopped& op) {
+            find_te(op.te, Lifecycle::kReady).lifecycle = Lifecycle::kStopped;
+          },
+          [&](const TeCrashed& op) {
+            TeMeta& te = find_te(op.te, Lifecycle::kReady);
+            te.lifecycle = Lifecycle::kFailed;
+            te.crash_kind = op.kind;
+            te.crash_time = op.time;
+          },
+          [&](const TeDetected& op) {
+            TeMeta& te = find_te(op.te, Lifecycle::kFailed);
+            DS_CHECK(!te.detected);
+            te.detected = true;
+          },
+          [&](const Epoch&) { ++epoch_; },
+          [](const auto&) { DS_CHECK(false) << "a JobTable record in a TeDirectory domain"; },
+      },
+      record.op);
 }
 
 uint64_t TeDirectory::Fingerprint() const {
@@ -180,7 +128,7 @@ uint64_t TeDirectory::Fingerprint() const {
     Mix(&hash, static_cast<uint64_t>(id));
     Mix(&hash, static_cast<uint64_t>(meta.lifecycle));
     Mix(&hash, meta.npus.size());
-    for (int64_t npu : meta.npus) {
+    for (hw::NpuId npu : meta.npus) {
       Mix(&hash, static_cast<uint64_t>(npu));
     }
     Mix(&hash, static_cast<uint64_t>(meta.pipeline));

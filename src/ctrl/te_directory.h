@@ -23,30 +23,12 @@
 
 #include "common/types.h"
 #include "ctrl/ctrl_state_machine.h"
+#include "hw/npu.h"
 
 namespace deepserve::ctrl {
 
 class TeDirectory final : public CtrlStateMachine {
  public:
-  enum RecordType : int32_t {
-    kInit = 1,         // ints: [num_npus]
-    kReservePods,      // ints: [count]
-    kReserveTes,       // ints: [count]
-    kNpusAllocated,    // ints: [npu...]
-    kNpusReleased,     // ints: [npu...]
-    kTeCreated,        // ints: [id, npu...] — a ready TE (CreateReadyTe / ScaleUpMany)
-    kPipelineStarted,  // ints: [pipe, te_id, npu...] — reserves both ids, TE kProvisioning
-    kPodsConsumed,     // ints: [count] — prewarmed pods taken by a pipeline
-    kWarmTesConsumed,  // ints: [count] — prewarmed TEs taken by a pipeline
-    kStageDone,        // ints: [pipe, stage]
-    kPipelineDone,     // ints: [pipe] — TE -> kReady, pipeline closed
-    kPipelineAborted,  // ints: [pipe] — TE -> kAborted, pipeline closed
-    kTeStopped,        // ints: [id]
-    kTeCrashed,        // ints: [id, kind, crash_time]
-    kTeDetected,       // ints: [id]
-    kEpoch,            // ints: [] — a new leader took over this domain
-  };
-
   // CM-visible lifecycle. Draining is a data-plane (TaskExecutor) state and
   // is intentionally absent: a draining TE is kReady here until stopped.
   enum class Lifecycle : int32_t {
@@ -60,7 +42,7 @@ class TeDirectory final : public CtrlStateMachine {
   struct TeMeta {
     int32_t id = -1;
     Lifecycle lifecycle = Lifecycle::kProvisioning;
-    std::vector<int64_t> npus;
+    std::vector<hw::NpuId> npus;
     int64_t pipeline = -1;  // open provisioning pipeline, -1 = none
     int32_t crash_kind = -1;
     TimeNs crash_time = -1;

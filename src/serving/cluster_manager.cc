@@ -10,28 +10,6 @@
 
 namespace deepserve::serving {
 
-namespace {
-
-std::vector<int64_t> NpuInts(const std::vector<hw::NpuId>& npus) {
-  std::vector<int64_t> ints;
-  ints.reserve(npus.size());
-  for (hw::NpuId id : npus) {
-    ints.push_back(id);
-  }
-  return ints;
-}
-
-std::vector<hw::NpuId> NpusFromInts(const std::vector<int64_t>& ints) {
-  std::vector<hw::NpuId> npus;
-  npus.reserve(ints.size());
-  for (int64_t id : ints) {
-    npus.push_back(static_cast<hw::NpuId>(id));
-  }
-  return npus;
-}
-
-}  // namespace
-
 struct ClusterManager::PipelineState {
   ScaleRequest request;
   ScaleCallback on_ready;
@@ -60,19 +38,15 @@ ClusterManager::ClusterManager(sim::Simulator* sim, hw::Cluster* cluster,
   log_ = ctrl_log;
   directory_.set_domain(log_->RegisterDomain("te-directory"));
   log_->Attach(&directory_);
-  AppendDir(ctrl::TeDirectory::kInit, {cluster_->total_npus()});
+  AppendDir(ctrl::DirectoryInit{cluster_->total_npus()});
 }
 
 ClusterManager::~ClusterManager() {
   log_->Detach(directory_.domain());
 }
 
-void ClusterManager::AppendDir(int32_t type, std::vector<int64_t> ints) {
-  ctrl::LogRecord record;
-  record.domain = directory_.domain();
-  record.type = type;
-  record.ints = std::move(ints);
-  log_->Append(std::move(record));
+void ClusterManager::AppendDir(ctrl::LogOp op) {
+  log_->Append({0, 0, directory_.domain(), std::move(op)});
 }
 
 void ClusterManager::DeferUntilRecovery(std::function<void()> op) {
@@ -154,7 +128,7 @@ Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpusOn(
   if (static_cast<int>(picked.size()) < count) {
     return ResourceExhaustedError("cluster out of NPUs: need " + std::to_string(count));
   }
-  AppendDir(ctrl::TeDirectory::kNpusAllocated, NpuInts(picked));
+  AppendDir(ctrl::NpusAllocated{picked});
   return picked;
 }
 
@@ -276,17 +250,17 @@ flowserve::EngineConfig ClusterManager::PlacedEngine(
 
 void ClusterManager::ReleaseNpus(const std::vector<hw::NpuId>& npus) {
   // Apply() checks each NPU was actually in use.
-  AppendDir(ctrl::TeDirectory::kNpusReleased, NpuInts(npus));
+  AppendDir(ctrl::NpusReleased{npus});
 }
 
 void ClusterManager::ReservePrewarmedPods(int count) {
   DS_CHECK(leader_up_);
-  AppendDir(ctrl::TeDirectory::kReservePods, {count});
+  AppendDir(ctrl::PodsReserved{count});
 }
 
 void ClusterManager::ReservePrewarmedTes(int count) {
   DS_CHECK(leader_up_);
-  AppendDir(ctrl::TeDirectory::kReserveTes, {count});
+  AppendDir(ctrl::WarmTesReserved{count});
 }
 
 Result<TaskExecutor*> ClusterManager::CreateReadyTe(
@@ -296,11 +270,7 @@ Result<TaskExecutor*> ClusterManager::CreateReadyTe(
   }
   DS_ASSIGN_OR_RETURN(std::vector<hw::NpuId> npus, AllocateNpusForEngine(engine_config));
   const TeId id = directory_.next_te_id();
-  std::vector<int64_t> ints = {id};
-  for (hw::NpuId npu : npus) {
-    ints.push_back(npu);
-  }
-  AppendDir(ctrl::TeDirectory::kTeCreated, std::move(ints));
+  AppendDir(ctrl::TeCreated{id, npus});
   TeConfig config;
   config.id = id;
   config.engine = PlacedEngine(engine_config, npus);
@@ -339,7 +309,7 @@ Status ClusterManager::StopTe(TeId id) {
     return FailedPreconditionError("TE " + std::to_string(id) + " already down");
   }
   TaskExecutor* target = bindings_.at(id);
-  AppendDir(ctrl::TeDirectory::kTeStopped, {id});
+  AppendDir(ctrl::TeStopped{id});
   target->set_state(TeState::kStopped);
   target->engine().ReleaseHbm();
   ReleaseNpus(target->config().npus);
@@ -398,8 +368,7 @@ Result<size_t> ClusterManager::Crash(TeId id, CrashKind kind, bool defer_detecti
   stats_.lost_requests += static_cast<int64_t>(dropped);
   stats_.lost_kv_tokens += target->engine().stats().aborted_kv_tokens - kv_before;
   if (leader_up_) {
-    AppendDir(ctrl::TeDirectory::kTeCrashed,
-              {id, static_cast<int64_t>(kind), sim_->Now()});
+    AppendDir(ctrl::TeCrashed{id, static_cast<int32_t>(kind), sim_->Now()});
   } else {
     // The TE is dead either way (data plane), but no leader is listening: the
     // pod runtime buffers the report until a standby takes over.
@@ -455,7 +424,7 @@ Result<size_t> ClusterManager::AbortPipeline(TeId id, CrashKind kind) {
   state->aborted = true;
   ++stats_.crashes;
   ++stats_.scale_aborts;
-  AppendDir(ctrl::TeDirectory::kPipelineAborted, {state->pipe});
+  AppendDir(ctrl::PipelineAborted{state->pipe});
   ReleaseNpus(state->npus);
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "fault.crash",
@@ -484,7 +453,7 @@ void ClusterManager::DetectTeFailure(TeId id) {
   if (meta->detected) {
     return;  // a detection timer firing after the takeover scan already did this
   }
-  AppendDir(ctrl::TeDirectory::kTeDetected, {id});
+  AppendDir(ctrl::TeDetected{id});
   ++stats_.detections;
   TimeNs crashed = meta->crash_time >= 0 ? meta->crash_time : sim_->Now();
   DurationNs detect_latency = sim_->Now() - crashed;
@@ -496,7 +465,7 @@ void ClusterManager::DetectTeFailure(TeId id) {
   if (obs::MetricsRegistry* m = sim_->metrics()) {
     m->stats("cm.faults.detect_ms")->Add(NsToMs(detect_latency));
   }
-  ReleaseNpus(NpusFromInts(meta->npus));
+  ReleaseNpus(meta->npus);
   for (const auto& [handler_id, handler] : failure_handlers_) {
     handler(id);
   }
@@ -598,7 +567,7 @@ void ClusterManager::RecoverControlLeader() {
       << "control-log replay diverged from live TE directory";
   directory_ = std::move(standby);
   leader_up_ = true;
-  AppendDir(ctrl::TeDirectory::kEpoch);
+  AppendDir(ctrl::Epoch{});
   ++stats_.cm_failovers;
   const DurationNs outage = sim_->Now() - leader_crash_time_;
   stats_.cm_outage_total += outage;
@@ -616,8 +585,7 @@ void ClusterManager::RecoverControlLeader() {
   std::vector<PendingCrash> crashes;
   crashes.swap(pending_crashes_);
   for (const PendingCrash& pc : crashes) {
-    AppendDir(ctrl::TeDirectory::kTeCrashed,
-              {pc.id, static_cast<int64_t>(pc.kind), pc.time});
+    AppendDir(ctrl::TeCrashed{pc.id, static_cast<int32_t>(pc.kind), pc.time});
   }
   // 2. Parked control ops (pipeline stage transitions, drain completions,
   //    ScaleUpMany creations) resume in arrival order.
@@ -688,11 +656,7 @@ Result<TeId> ClusterManager::ScaleUp(const ScaleRequest& request, ScaleCallback 
   // addressable (e.g. by KillTe) while still provisioning.
   state->pipe = directory_.next_pipeline();
   state->te_id = directory_.next_te_id();
-  std::vector<int64_t> ints = {state->pipe, state->te_id};
-  for (hw::NpuId id : state->npus) {
-    ints.push_back(id);
-  }
-  AppendDir(ctrl::TeDirectory::kPipelineStarted, std::move(ints));
+  AppendDir(ctrl::PipelineStarted{state->pipe, state->te_id, state->npus});
   live_pipelines_[state->pipe] = state;
   ++stats_.scale_ups;
   const TeId reserved = state->te_id;
@@ -704,7 +668,7 @@ void ClusterManager::RunScalerPre(std::shared_ptr<PipelineState> state) {
   state->stage_start = sim_->Now();
   DurationNs cost;
   if (opts_.prewarmed_pods && directory_.prewarmed_pods() > 0) {
-    AppendDir(ctrl::TeDirectory::kPodsConsumed, {1});
+    AppendDir(ctrl::PodsConsumed{1});
     ++stats_.prewarmed_pod_hits;
     state->breakdown.used_prewarmed_pod = true;
     cost = latency_.pod_adapt_prewarmed;
@@ -715,7 +679,7 @@ void ClusterManager::RunScalerPre(std::shared_ptr<PipelineState> state) {
     StageContinue(state, [this, state] {
       state->breakdown.scaler_pre = sim_->Now() - state->stage_start;
       TraceScalePhase("scaler-pre", state->breakdown.scaler_pre);
-      AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 1});
+      AppendDir(ctrl::StageDone{state->pipe, 1});
       RunTePreLoad(state);
     });
   });
@@ -727,7 +691,7 @@ void ClusterManager::RunTePreLoad(std::shared_ptr<PipelineState> state) {
   if (opts_.prewarmed_tes && directory_.prewarmed_tes() > 0) {
     // Model- and parallelism-agnostic pre-warmed SPMD master/executor pools:
     // adapting one to this model is quick config repacking.
-    AppendDir(ctrl::TeDirectory::kWarmTesConsumed, {1});
+    AppendDir(ctrl::WarmTesConsumed{1});
     ++stats_.prewarmed_te_hits;
     state->breakdown.used_prewarmed_te = true;
     cost = latency_.te_adapt_prewarmed;
@@ -742,7 +706,7 @@ void ClusterManager::RunTePreLoad(std::shared_ptr<PipelineState> state) {
     StageContinue(state, [this, state] {
       state->breakdown.te_pre_load = sim_->Now() - state->stage_start;
       TraceScalePhase("te-pre-load", state->breakdown.te_pre_load);
-      AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 2});
+      AppendDir(ctrl::StageDone{state->pipe, 2});
       RunTeLoad(state);
     });
   });
@@ -759,7 +723,7 @@ void ClusterManager::RunTeLoad(std::shared_ptr<PipelineState> state) {
       StageContinue(state, [this, state] {
         state->breakdown.te_load = sim_->Now() - state->stage_start;
         TraceScalePhase("te-load", state->breakdown.te_load);
-        AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 3});
+        AppendDir(ctrl::StageDone{state->pipe, 3});
         RunTePostLoad(state);
       });
     });
@@ -839,7 +803,7 @@ void ClusterManager::RunTePostLoad(std::shared_ptr<PipelineState> state) {
     StageContinue(state, [this, state] {
       state->breakdown.te_post_load = sim_->Now() - state->stage_start;
       TraceScalePhase("te-post-load", state->breakdown.te_post_load);
-      AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 4});
+      AppendDir(ctrl::StageDone{state->pipe, 4});
       RunScalerPost(state);
     });
   });
@@ -852,7 +816,7 @@ void ClusterManager::RunScalerPost(std::shared_ptr<PipelineState> state) {
     StageContinue(state, [this, state] {
       state->breakdown.scaler_post = sim_->Now() - state->stage_start;
       TraceScalePhase("scaler-post", state->breakdown.scaler_post);
-      AppendDir(ctrl::TeDirectory::kPipelineDone, {state->pipe});
+      AppendDir(ctrl::PipelineDone{state->pipe});
       TeConfig config;
       config.id = state->te_id;
       config.engine = state->request.engine;
@@ -890,7 +854,7 @@ Status ClusterManager::ScaleUpMany(
   const bool pod_hit = opts_.prewarmed_pods && directory_.prewarmed_pods() >= count;
   DurationNs pre = pod_hit ? latency_.pod_adapt_prewarmed : latency_.pod_create_cold;
   if (pod_hit) {
-    AppendDir(ctrl::TeDirectory::kPodsConsumed, {count});
+    AppendDir(ctrl::PodsConsumed{count});
     stats_.prewarmed_pod_hits += count;
   }
   const bool te_hit = opts_.prewarmed_tes && directory_.prewarmed_tes() >= count;
@@ -900,7 +864,7 @@ Status ClusterManager::ScaleUpMany(
                                     (opts_.optimized_preload ? latency_.te_preload_optimized_factor
                                                              : 1.0));
   if (te_hit) {
-    AppendDir(ctrl::TeDirectory::kWarmTesConsumed, {count});
+    AppendDir(ctrl::WarmTesConsumed{count});
     stats_.prewarmed_te_hits += count;
   }
   Bytes per_npu =
@@ -929,11 +893,7 @@ Status ClusterManager::ScaleUpMany(
                   break;  // cluster exhausted: report what we got
                 }
                 const TeId id = directory_.next_te_id();
-                std::vector<int64_t> ints = {id};
-                for (hw::NpuId npu : npus.value()) {
-                  ints.push_back(npu);
-                }
-                AppendDir(ctrl::TeDirectory::kTeCreated, std::move(ints));
+                AppendDir(ctrl::TeCreated{id, npus.value()});
                 TeConfig config;
                 config.id = id;
                 config.engine = PlacedEngine(request.engine, npus.value());

@@ -350,7 +350,7 @@ class ClusterManager {
   // parked if the control leader is down (a standby resumes it at takeover).
   void StageContinue(const std::shared_ptr<PipelineState>& state, std::function<void()> body);
   // Appends one TeDirectory record to the control log.
-  void AppendDir(int32_t type, std::vector<int64_t> ints = {});
+  void AppendDir(ctrl::LogOp op);
   // Autoscaler scale-downs count in ClusterManagerStats like the historical
   // in-class tick's did.
   void RecordAutoscalerScaleDown() { ++stats_.scale_downs; }

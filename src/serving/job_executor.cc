@@ -63,14 +63,8 @@ void JobExecutor::AttachControl(ctrl::ControlLog* log, ClusterManager* cm) {
   }
 }
 
-void JobExecutor::AppendJob(int32_t type, std::vector<int64_t> ints,
-                            workload::SharedRequest request) {
-  ctrl::LogRecord record;
-  record.domain = table_.domain();
-  record.type = type;
-  record.ints = std::move(ints);
-  record.request = std::move(request);
-  log_->Append(std::move(record));
+void JobExecutor::AppendJob(ctrl::LogOp op) {
+  log_->Append({0, 0, table_.domain(), std::move(op)});
 }
 
 void JobExecutor::RunOrDefer(std::function<void()> op) {
@@ -103,8 +97,7 @@ void JobExecutor::AddColocatedTe(TaskExecutor* te) {
     RunOrDefer([this, te] { AddColocatedTe(te); });
     return;
   }
-  AppendJob(ctrl::JobTable::kTeAdded,
-            {ctrl::JobTable::kColocated, static_cast<int64_t>(te->id())});
+  AppendJob(ctrl::TeAdded{ctrl::TeGroup::kColocated, te->id()});
   colocated_.push_back(te);
 }
 
@@ -114,8 +107,7 @@ void JobExecutor::AddPrefillTe(TaskExecutor* te) {
     RunOrDefer([this, te] { AddPrefillTe(te); });
     return;
   }
-  AppendJob(ctrl::JobTable::kTeAdded,
-            {ctrl::JobTable::kPrefill, static_cast<int64_t>(te->id())});
+  AppendJob(ctrl::TeAdded{ctrl::TeGroup::kPrefill, te->id()});
   prefill_.push_back(te);
 }
 
@@ -125,21 +117,13 @@ void JobExecutor::AddDecodeTe(TaskExecutor* te) {
     RunOrDefer([this, te] { AddDecodeTe(te); });
     return;
   }
-  AppendJob(ctrl::JobTable::kTeAdded,
-            {ctrl::JobTable::kDecode, static_cast<int64_t>(te->id())});
+  AppendJob(ctrl::TeAdded{ctrl::TeGroup::kDecode, te->id()});
   decode_.push_back(te);
 }
 
 bool JobExecutor::RemoveTe(TeId id) {
-  auto member = [this, id] {
-    auto has = [id](const std::vector<TaskExecutor*>& tes) {
-      return std::any_of(tes.begin(), tes.end(),
-                         [id](TaskExecutor* te) { return te->id() == id; });
-    };
-    return has(colocated_) || has(prefill_) || has(decode_);
-  };
   if (down_) {
-    bool removed = member();
+    bool removed = FindTe(id) != nullptr;
     RunOrDefer([this, id] { RemoveTe(id); });
     return removed;
   }
@@ -154,7 +138,7 @@ bool JobExecutor::RemoveTe(TeId id) {
   drop(prefill_);
   drop(decode_);
   if (removed) {
-    AppendJob(ctrl::JobTable::kTeRemoved, {static_cast<int64_t>(id)});
+    AppendJob(ctrl::TeRemoved{id});
   }
   // Prompt-tree tags for the departed TE are cleaned lazily during matching.
   return removed;
@@ -294,7 +278,7 @@ TaskExecutor* JobExecutor::SelectFrom(const rtc::BlockKeyChain& keys, PromptTree
   DS_CHECK(!tes.empty());
   switch (config_.policy) {
     case SchedulingPolicy::kRoundRobin:
-      // The cursor advances once per request (kRrAdvanced) in Dispatch.
+      // The cursor advances once per request (RrAdvanced) in Dispatch.
       return tes[table_.rr_cursor() % tes.size()];
     case SchedulingPolicy::kLoadOnly:
       ++stats_.load_decisions;
@@ -353,37 +337,19 @@ int JobExecutor::TracePid() {
 
 TaskId JobExecutor::NewTask(JobId job, TaskType type, TeId te) {
   const TaskId task_id = table_.next_task();
-  AppendJob(ctrl::JobTable::kTaskCreated,
-            {static_cast<int64_t>(task_id), static_cast<int64_t>(job),
-             static_cast<int64_t>(type), static_cast<int64_t>(te)});
+  AppendJob(ctrl::TaskCreated{task_id, job, type, te});
   return task_id;
 }
 
-bool JobExecutor::HasReadyCapacity() const {
-  if (down_) {
-    return false;
-  }
-  for (TaskExecutor* te : colocated_) {
-    if (te->ready()) {
-      return true;
+TaskExecutor* JobExecutor::FindTe(TeId id) const {
+  for (const auto* group : {&colocated_, &prefill_, &decode_}) {
+    for (TaskExecutor* te : *group) {
+      if (te->id() == id) {
+        return te;
+      }
     }
   }
-  bool prefill_ready = false;
-  for (TaskExecutor* te : prefill_) {
-    if (te->ready()) {
-      prefill_ready = true;
-      break;
-    }
-  }
-  if (!prefill_ready) {
-    return false;
-  }
-  for (TaskExecutor* te : decode_) {
-    if (te->ready()) {
-      return true;
-    }
-  }
-  return false;
+  return nullptr;
 }
 
 int JobExecutor::ReadyCapacityWeight() const {
@@ -426,23 +392,11 @@ size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
   }
   for (JobId job_id : hits) {
     std::vector<TeId> tes = table_.outstanding().at(job_id).tes;
-    AppendJob(ctrl::JobTable::kJobFailed, {static_cast<int64_t>(job_id)});
+    AppendJob(ctrl::JobFailed{job_id});
     handlers_.erase(job_id);  // the handler dies here without firing
     for (TeId te_id : tes) {
-      for (TaskExecutor* te : colocated_) {
-        if (te->id() == te_id) {
-          te->CancelRequest(request_id);
-        }
-      }
-      for (TaskExecutor* te : prefill_) {
-        if (te->id() == te_id) {
-          te->CancelRequest(request_id);
-        }
-      }
-      for (TaskExecutor* te : decode_) {
-        if (te->id() == te_id) {
-          te->CancelRequest(request_id);
-        }
+      if (TaskExecutor* te = FindTe(te_id)) {
+        te->CancelRequest(request_id);
       }
     }
     ++stats_.cancelled;
@@ -488,7 +442,7 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
     handler = std::move(it->second);
     handlers_.erase(it);
   }
-  AppendJob(ctrl::JobTable::kJobFailed, {static_cast<int64_t>(job_id)});
+  AppendJob(ctrl::JobFailed{job_id});
   ++stats_.errors;
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "je.error",
@@ -503,15 +457,15 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
 void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler handler,
                            int retries) {
   const JobId job_id = table_.next_job();
-  // This dispatch's one copy of the request. kJobCreated carries it, so a
+  // This dispatch's one copy of the request. JobCreated carries it, so a
   // standby replaying the log can re-dispatch or fail the request without
   // the leader's memory; the job tables and the engines share it.
   flowserve::RequestRef request = flowserve::RequestRef::Copy(spec);
   ++stats_.prompt_copies;
-  AppendJob(ctrl::JobTable::kJobCreated, {static_cast<int64_t>(job_id), retries}, request.spec);
+  AppendJob(ctrl::JobCreated{job_id, retries, request.spec});
   handlers_[job_id] = std::move(handler);
 
-  if (config_.enforce_deadlines && spec.deadline > 0 && sim_->Now() > spec.deadline) {
+  if (spec.deadline > 0 && sim_->Now() > spec.deadline) {
     // Already dead on arrival here — typically a crash re-dispatch of a
     // request whose deadline lapsed while the fleet recovered. Don't queue
     // work no one is waiting for.
@@ -608,7 +562,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     if (!table_.IsOutstanding(job_id)) {
       return;
     }
-    AppendJob(ctrl::JobTable::kJobCompleted, {static_cast<int64_t>(job_id)});
+    AppendJob(ctrl::JobCompleted{job_id});
     handlers_.erase(job_id);
     if (on_complete) {
       on_complete(seq);
@@ -629,8 +583,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     ++stats_.routed_disaggregated;
     TaskExecutor* p = SelectFrom(keys, prefill_tree_, prefill);
     RecordRoute(keys, prefill_tree_, p->id());
-    AppendJob(ctrl::JobTable::kJobTeBound,
-              {static_cast<int64_t>(job_id), static_cast<int64_t>(p->id())});
+    AppendJob(ctrl::JobTeBound{job_id, p->id()});
     if (obs::Tracer* t = sim_->tracer()) {
       t->Instant(sim_->Now(), TracePid(), 0, "je.route",
                  {obs::Arg("req", static_cast<int64_t>(spec.id)),
@@ -642,8 +595,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     ++stats_.routed_colocated;
     TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
     RecordRoute(keys, colocated_tree_, te->id());
-    AppendJob(ctrl::JobTable::kJobTeBound,
-              {static_cast<int64_t>(job_id), static_cast<int64_t>(te->id())});
+    AppendJob(ctrl::JobTeBound{job_id, te->id()});
     if (obs::Tracer* t = sim_->tracer()) {
       t->Instant(sim_->Now(), TracePid(), 0, "je.route",
                  {obs::Arg("req", static_cast<int64_t>(spec.id)),
@@ -652,7 +604,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     }
     DispatchColocated(te, std::move(request), std::move(te_handler));
   }
-  AppendJob(ctrl::JobTable::kRrAdvanced);
+  AppendJob(ctrl::RrAdvanced{});
 }
 
 void JobExecutor::DispatchColocated(TaskExecutor* te, flowserve::RequestRef request,
@@ -661,7 +613,7 @@ void JobExecutor::DispatchColocated(TaskExecutor* te, flowserve::RequestRef requ
   TaskId task_id = NewTask(job_id, TaskType::kUnified, te->id());
   handler.on_complete = Deferred([this, task_id, cb = std::move(handler.on_complete)](
                                      const flowserve::Sequence& seq) {
-    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(task_id)});
+    AppendJob(ctrl::TaskCompleted{task_id});
     cb(seq);
   });
   te->SubmitUnified(std::move(request), std::move(handler));
@@ -677,13 +629,12 @@ void JobExecutor::DispatchDisaggregated(TaskExecutor* prefill_te, flowserve::Req
   }
   DS_CHECK(!decode.empty());
   TaskExecutor* decode_te = LoadAware(decode);
-  AppendJob(ctrl::JobTable::kJobTeBound,
-            {static_cast<int64_t>(job_id), static_cast<int64_t>(decode_te->id())});
+  AppendJob(ctrl::JobTeBound{job_id, decode_te->id()});
   TaskId prefill_task_id = NewTask(job_id, TaskType::kPrefill, prefill_te->id());
   (void)NewTask(job_id, TaskType::kDecode, decode_te->id());
   handler.on_first_token = Deferred([this, prefill_task_id, cb = std::move(handler.on_first_token)](
                                         const flowserve::Sequence& seq) {
-    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(prefill_task_id)});
+    AppendJob(ctrl::TaskCompleted{prefill_task_id});
     if (cb) {
       cb(seq);
     }
@@ -730,7 +681,7 @@ void JobExecutor::OnTeFailure(TeId id) {
       retry.handler = std::move(it->second);
       handlers_.erase(it);
     }
-    AppendJob(ctrl::JobTable::kJobFailed, {static_cast<int64_t>(job_id)});
+    AppendJob(ctrl::JobFailed{job_id});
     to_retry.push_back(std::move(retry));
   }
   for (auto& retry : to_retry) {
@@ -740,23 +691,9 @@ void JobExecutor::OnTeFailure(TeId id) {
     // Cancel Status is intentionally discarded: kNotFound just means that
     // side of the pair never admitted (or already finished) the sequence.
     for (TeId te_id : retry.tes) {
-      if (te_id == id) {
-        continue;
-      }
-      for (TaskExecutor* te : colocated_) {
-        if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.request->id);
-        }
-      }
-      for (TaskExecutor* te : prefill_) {
-        if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.request->id);
-        }
-      }
-      for (TaskExecutor* te : decode_) {
-        if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.request->id);
-        }
+      TaskExecutor* te = te_id == id ? nullptr : FindTe(te_id);
+      if (te != nullptr) {
+        (void)te->engine().Cancel(retry.request->id);
       }
     }
     bool budget_ok = true;
@@ -826,20 +763,8 @@ Status JobExecutor::CrashLeader() {
       workload::RequestId request = outstanding.request->id;
       std::vector<TeId> tes = outstanding.tes;
       for (TeId te_id : tes) {
-        for (TaskExecutor* te : colocated_) {
-          if (te->id() == te_id) {
-            (void)te->engine().Cancel(request);
-          }
-        }
-        for (TaskExecutor* te : prefill_) {
-          if (te->id() == te_id) {
-            (void)te->engine().Cancel(request);
-          }
-        }
-        for (TaskExecutor* te : decode_) {
-          if (te->id() == te_id) {
-            (void)te->engine().Cancel(request);
-          }
+        if (TaskExecutor* te = FindTe(te_id)) {
+          (void)te->engine().Cancel(request);
         }
       }
       FailJob(job_id, UnavailableError("request " + std::to_string(request) +
@@ -872,7 +797,7 @@ void JobExecutor::RecoverLeader() {
          "bypassed the log";
   table_ = std::move(standby);
   down_ = false;
-  AppendJob(ctrl::JobTable::kEpoch);
+  AppendJob(ctrl::Epoch{});
   ++stats_.je_failovers;
   stats_.je_outage_total += sim_->Now() - crash_time_;
   if (obs::Tracer* t = sim_->tracer()) {
@@ -887,7 +812,7 @@ void JobExecutor::RecoverLeader() {
     std::vector<TaskExecutor*>* groups[3] = {&colocated_, &prefill_, &decode_};
     for (int g = 0; g < 3; ++g) {
       groups[g]->clear();
-      for (TeId id : table_.group(static_cast<ctrl::JobTable::Group>(g))) {
+      for (TeId id : table_.group(static_cast<ctrl::TeGroup>(g))) {
         TaskExecutor* te = cm_->te(id);
         if (te != nullptr) {
           groups[g]->push_back(te);

@@ -71,10 +71,6 @@ struct JeConfig {
   // Fault tolerance: how many times one request may be re-dispatched after TE
   // failures before it errors out through ResponseHandler::on_error.
   int max_retries = 3;
-  // Fail requests whose deadline (spec.deadline > 0) has already passed at
-  // dispatch/re-dispatch time with DEADLINE_EXCEEDED instead of queueing dead
-  // work — in particular a crash-retry of an expired request.
-  bool enforce_deadlines = true;
   // Heterogeneous clusters: before the scheduling policy runs, narrow the
   // candidate TEs to those whose HBM fits the request's predicted context
   // (prefill + predicted decode), then to the generation with the best
@@ -154,14 +150,11 @@ class JobExecutor {
   using SeqCallback = TaskExecutor::SeqCallback;
   void HandleRequest(const workload::RequestSpec& spec, ResponseHandler handler);
 
-  // True when at least one route can serve a request right now: a ready
-  // colocated TE, or a ready prefill + ready decode pair. Unlike the group
-  // counts this consults TeState, so mid-scale-up or failed TEs don't count.
-  // Always false while this JE's leader is down.
-  bool HasReadyCapacity() const;
-
   // Ready serving slots for weighted load balancing: ready colocated TEs plus
-  // min(ready prefill, ready decode) PD pairs. 0 iff !HasReadyCapacity().
+  // min(ready prefill, ready decode) PD pairs. Unlike the group counts this
+  // consults TeState, so mid-scale-up or failed TEs don't count. 0 when no
+  // route can serve a request right now, and always 0 while this JE's leader
+  // is down.
   int ReadyCapacityWeight() const;
 
   // Drops every outstanding job carrying this request id WITHOUT firing its
@@ -243,9 +236,11 @@ class JobExecutor {
                              ResponseHandler handler);
 
   TaskId NewTask(JobId job, TaskType type, TeId te);
+  // The group member with this id (colocated, then prefill, then decode), or
+  // nullptr when no group holds it.
+  TaskExecutor* FindTe(TeId id) const;
   // Appends one JobTable record to the control log.
-  void AppendJob(int32_t type, std::vector<int64_t> ints = {},
-                 workload::SharedRequest request = nullptr);
+  void AppendJob(ctrl::LogOp op);
   // Runs a completion/failure continuation now, or parks it until the next
   // RecoverLeader() while this JE's leader is down. With a single-replica log
   // a parked op is dropped instead — no takeover will ever come.

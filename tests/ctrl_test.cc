@@ -1,15 +1,17 @@
 // Replicated control-plane tests: the sequenced shared log, deterministic
 // state-machine replay, the folding log against a keep-everything reference,
 // CM/JE leader failover, a bounded-memory soak, the pipeline-abort crash path,
-// and the 3-seed golden parity pin proving the degenerate log config is
-// bit-identical to the pre-log tree.
+// the exact record stream of each append path, and the 3-seed golden parity
+// pin proving the degenerate log config is bit-identical to the pre-log tree.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,10 +43,10 @@ TEST(ControlLogTest, SequencesAcrossDomainsInAppendOrder) {
   log.Attach(&alpha);
   log.Attach(&beta);
 
-  const int32_t rr = ctrl::JobTable::kRrAdvanced;
-  EXPECT_EQ(log.Append({0, 0, alpha.domain(), rr, {}, {}}).seq, 0u);
-  EXPECT_EQ(log.Append({0, 0, beta.domain(), rr, {}, {}}).seq, 1u);
-  EXPECT_EQ(log.Append({0, 0, alpha.domain(), rr, {}, {}}).seq, 2u);
+  const ctrl::RrAdvanced rr;
+  EXPECT_EQ(log.Append({0, 0, alpha.domain(), rr}).seq, 0u);
+  EXPECT_EQ(log.Append({0, 0, beta.domain(), rr}).seq, 1u);
+  EXPECT_EQ(log.Append({0, 0, alpha.domain(), rr}).seq, 2u);
   // Appended counts cover the whole history...
   EXPECT_EQ(log.next_seq(), 3u);
   EXPECT_EQ(log.CountDomain(alpha.domain()), 2);
@@ -65,11 +67,11 @@ TEST(ControlLogTest, UnattachedDomainPinsTheLogUntilAttached) {
   const int32_t late = log.RegisterDomain("late");
   EXPECT_EQ(log.standby(late), nullptr);
 
-  const int32_t rr = ctrl::JobTable::kRrAdvanced;
-  log.Append({0, 0, live.domain(), rr, {}, {}});
-  log.Append({0, 0, late, rr, {}, {}});  // no standby to fold into
-  log.Append({0, 0, live.domain(), rr, {}, {}});
-  log.Append({0, 0, late, rr, {}, {}});
+  const ctrl::RrAdvanced rr;
+  log.Append({0, 0, live.domain(), rr});
+  log.Append({0, 0, late, rr});  // no standby to fold into
+  log.Append({0, 0, live.domain(), rr});
+  log.Append({0, 0, late, rr});
   // The first "late" record pins itself and everything after it.
   EXPECT_EQ(log.records().size(), 3u);
   EXPECT_EQ(log.records().front().seq, 1u);
@@ -78,7 +80,7 @@ TEST(ControlLogTest, UnattachedDomainPinsTheLogUntilAttached) {
   EXPECT_EQ(log.ReplayInto(&joiner), 2);
   EXPECT_EQ(joiner.rr_cursor(), 2u);
   log.Attach(&joiner);
-  log.Append({0, 0, late, rr, {}, {}});
+  log.Append({0, 0, late, rr});
   EXPECT_EQ(log.records().size(), 1u);
   ctrl::JobTable replica(late);
   EXPECT_EQ(log.ReplayInto(&replica), 1);
@@ -92,17 +94,16 @@ TEST(ControlLogTest, AppendAppliesInlineToAttachedMachine) {
   ctrl::JobTable table(log.RegisterDomain("job-table"));
   log.Attach(&table);
 
-  log.Append({0, 0, table.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
-  log.Append({0, 0, table.domain(), ctrl::JobTable::kTeAdded,
-              {ctrl::JobTable::kColocated, 7}, {}});
+  log.Append({0, 0, table.domain(), ctrl::RrAdvanced{}});
+  log.Append({0, 0, table.domain(), ctrl::TeAdded{ctrl::TeGroup::kColocated, 7}});
   EXPECT_EQ(table.rr_cursor(), 1u);
-  ASSERT_EQ(table.group(ctrl::JobTable::kColocated).size(), 1u);
-  EXPECT_EQ(table.group(ctrl::JobTable::kColocated)[0], 7);
+  ASSERT_EQ(table.group(ctrl::TeGroup::kColocated).size(), 1u);
+  EXPECT_EQ(table.group(ctrl::TeGroup::kColocated)[0], 7);
   EXPECT_EQ(table.applied(), 2u);
 
   // Detached machines stop observing appends.
   log.Detach(table.domain());
-  log.Append({0, 0, table.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
+  log.Append({0, 0, table.domain(), ctrl::RrAdvanced{}});
   EXPECT_EQ(table.rr_cursor(), 1u);
 }
 
@@ -113,11 +114,11 @@ TEST(ControlLogTest, ReplayFromNothingMatchesLiveFingerprint) {
   log.Attach(&live);
   const int32_t other = log.RegisterDomain("other");
 
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 3}, {}});
-  log.Append({0, 0, other, 99, {1, 2, 3}, nullptr});  // foreign domain: must be filtered
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kPrefill, 4}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeRemoved, {3}, {}});
+  log.Append({0, 0, live.domain(), ctrl::TeAdded{ctrl::TeGroup::kColocated, 3}});
+  log.Append({0, 0, other, ctrl::NpusAllocated{{1, 2, 3}}});  // foreign domain: must be filtered
+  log.Append({0, 0, live.domain(), ctrl::TeAdded{ctrl::TeGroup::kPrefill, 4}});
+  log.Append({0, 0, live.domain(), ctrl::RrAdvanced{}});
+  log.Append({0, 0, live.domain(), ctrl::TeRemoved{3}});
 
   ctrl::JobTable standby(live.domain());
   log.ReplayInto(&standby);
@@ -135,11 +136,11 @@ TEST(ControlLogTest, SnapshotPlusTailReplayMatchesLive) {
   ctrl::JobTable live(log.RegisterDomain("job-table"));
   log.Attach(&live);
 
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 1}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kDecode, 2}, {}});
+  log.Append({0, 0, live.domain(), ctrl::TeAdded{ctrl::TeGroup::kColocated, 1}});
+  log.Append({0, 0, live.domain(), ctrl::TeAdded{ctrl::TeGroup::kDecode, 2}});
   sim.RunUntil(MsToNs(10));
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeRemoved, {2}, {}});
+  log.Append({0, 0, live.domain(), ctrl::RrAdvanced{}});
+  log.Append({0, 0, live.domain(), ctrl::TeRemoved{2}});
 
   // The two t=0 records left the replication window and were folded into
   // the standby (the snapshot); the two at t=10ms are the retained tail.
@@ -170,10 +171,10 @@ TEST(ControlLogTest, FailoverDelayChargesLeaseGapAndTailReplay) {
   const int32_t domain = log.RegisterDomain("dir");
 
   // Three records at t=0, two more at t=10ms.
-  for (int i = 0; i < 3; ++i) log.Append({0, 0, domain, 1, {}, {}});
+  for (int i = 0; i < 3; ++i) log.Append({0, 0, domain, ctrl::Epoch{}});
   sim.ScheduleAt(MsToNs(10), [&] {
-    log.Append({0, 0, domain, 1, {}, {}});
-    log.Append({0, 0, domain, 1, {}, {}});
+    log.Append({0, 0, domain, ctrl::Epoch{}});
+    log.Append({0, 0, domain, ctrl::Epoch{}});
   });
   sim.Run();
 
@@ -227,18 +228,18 @@ struct ReferenceLog {
 // group membership, round-robin ticks and epochs.
 ctrl::LogRecord RandomJobRecord(Rng& rng, const ctrl::JobTable& fold, int32_t domain,
                                 TimeNs now) {
-  std::vector<int64_t> open;
+  std::vector<workload::JobId> open;
   for (const auto& [job_id, outstanding] : fold.outstanding()) {
-    open.push_back(static_cast<int64_t>(job_id));
+    open.push_back(job_id);
   }
   auto pick_open = [&] { return open[rng.UniformInt(0, static_cast<int64_t>(open.size()) - 1)]; };
+  auto te_id = [&] { return static_cast<workload::TeId>(rng.UniformInt(1, 16)); };
   ctrl::LogRecord record;
   record.domain = domain;
   const int64_t kind = rng.UniformInt(0, 10);
   if (kind <= 2 || open.empty()) {
-    record.type = ctrl::JobTable::kJobCreated;
-    const auto job = static_cast<int64_t>(fold.next_job());
-    record.ints = {job, rng.UniformInt(0, 2)};
+    const workload::JobId job = fold.next_job();
+    const auto retries = static_cast<int>(rng.UniformInt(0, 2));
     workload::RequestSpec spec;
     spec.id = static_cast<workload::RequestId>(job * 10);
     spec.arrival = now;
@@ -249,32 +250,31 @@ ctrl::LogRecord RandomJobRecord(Rng& rng, const ctrl::JobTable& fold, int32_t do
       spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(0, 127999)));
     }
     spec.context_id = rng.Bernoulli(0.5) ? "ctx-" + std::to_string(rng.UniformInt(0, 3)) : "";
-    record.request = std::make_shared<const workload::RequestSpec>(std::move(spec));
+    record.op = ctrl::JobCreated{job, retries,
+                                 std::make_shared<const workload::RequestSpec>(std::move(spec))};
   } else if (kind == 3) {
-    record.type = ctrl::JobTable::kJobTeBound;
-    record.ints = {pick_open(), rng.UniformInt(1, 16)};
+    const workload::JobId job = pick_open();
+    record.op = ctrl::JobTeBound{job, te_id()};
   } else if (kind == 4) {
-    record.type = ctrl::JobTable::kTaskCreated;
-    record.ints = {static_cast<int64_t>(fold.next_task()), pick_open(), rng.UniformInt(0, 2),
-                   rng.UniformInt(1, 16)};
+    const workload::JobId job = pick_open();
+    const auto type = static_cast<workload::TaskType>(rng.UniformInt(0, 2));
+    record.op = ctrl::TaskCreated{fold.next_task(), job, type, te_id()};
   } else if (kind == 5 && !fold.tasks().empty()) {
-    record.type = ctrl::JobTable::kTaskCompleted;
     const int64_t last = static_cast<int64_t>(fold.tasks().size()) - 1;
-    record.ints = {static_cast<int64_t>(fold.tasks()[rng.UniformInt(0, last)].id)};
+    record.op = ctrl::TaskCompleted{fold.tasks()[rng.UniformInt(0, last)].id};
   } else if (kind == 6) {
-    record.type = ctrl::JobTable::kJobCompleted;
-    record.ints = {pick_open()};
+    record.op = ctrl::JobCompleted{pick_open()};
   } else if (kind == 7) {
-    record.type = ctrl::JobTable::kJobFailed;
-    record.ints = {pick_open()};
+    record.op = ctrl::JobFailed{pick_open()};
   } else if (kind == 8) {
-    record.type = ctrl::JobTable::kTeAdded;
-    record.ints = {rng.UniformInt(0, 2), rng.UniformInt(1, 16)};
+    const auto group = static_cast<ctrl::TeGroup>(rng.UniformInt(0, 2));
+    record.op = ctrl::TeAdded{group, te_id()};
   } else if (kind == 9) {
-    record.type = ctrl::JobTable::kTeRemoved;
-    record.ints = {rng.UniformInt(1, 16)};
+    record.op = ctrl::TeRemoved{te_id()};
+  } else if (rng.Bernoulli(0.8)) {
+    record.op = ctrl::RrAdvanced{};
   } else {
-    record.type = rng.Bernoulli(0.8) ? ctrl::JobTable::kRrAdvanced : ctrl::JobTable::kEpoch;
+    record.op = ctrl::Epoch{};
   }
   return record;
 }
@@ -653,7 +653,6 @@ TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
   sim.ScheduleAt(MsToNs(650), [&] {
     ASSERT_TRUE(je.CrashLeader().ok());
     EXPECT_FALSE(je.leader_up());
-    EXPECT_FALSE(je.HasReadyCapacity());
     EXPECT_EQ(je.ReadyCapacityWeight(), 0);
     EXPECT_FALSE(je.CrashLeader().ok());  // already down
   });
@@ -901,6 +900,228 @@ TEST_F(CtrlStackTest, LeaderDownCompletionDeliversItsSnapshotAtTakeover) {
   EXPECT_EQ(parked.generated, live.generated);
   EXPECT_EQ(parked.first_token_time, live.first_token_time);
   EXPECT_EQ(parked.finish_time, live.finish_time);
+}
+
+// ---------------- Record stream pin ----------------
+
+// A replication latency no run here reaches: nothing leaves the window, so
+// records() is the log's whole history.
+constexpr DurationNs kNoFold = SToNs(1e6);
+
+// One record as "<time_ns> <kind> <operands...>"; a JobCreated names its
+// request as req=<id>.
+std::string Render(const ctrl::LogRecord& record) {
+  std::string out = std::to_string(record.time);
+  auto put = [&out](const char* kind, std::initializer_list<int64_t> operands,
+                    const std::vector<hw::NpuId>& npus = {}) {
+    out += std::string(" ") + kind;
+    for (int64_t operand : operands) out += " " + std::to_string(operand);
+    for (hw::NpuId npu : npus) out += " " + std::to_string(npu);
+  };
+  auto id = [](auto value) { return static_cast<int64_t>(value); };
+  std::visit(ctrl::Overloaded{
+                 [&](const ctrl::DirectoryInit& op) { put("DirectoryInit", {op.num_npus}); },
+                 [&](const ctrl::PodsReserved& op) { put("PodsReserved", {op.count}); },
+                 [&](const ctrl::WarmTesReserved& op) { put("WarmTesReserved", {op.count}); },
+                 [&](const ctrl::NpusAllocated& op) { put("NpusAllocated", {}, op.npus); },
+                 [&](const ctrl::NpusReleased& op) { put("NpusReleased", {}, op.npus); },
+                 [&](const ctrl::TeCreated& op) { put("TeCreated", {op.te}, op.npus); },
+                 [&](const ctrl::PipelineStarted& op) {
+                   put("PipelineStarted", {op.pipe, op.te}, op.npus);
+                 },
+                 [&](const ctrl::PodsConsumed& op) { put("PodsConsumed", {op.count}); },
+                 [&](const ctrl::WarmTesConsumed& op) { put("WarmTesConsumed", {op.count}); },
+                 [&](const ctrl::StageDone& op) { put("StageDone", {op.pipe, op.stage}); },
+                 [&](const ctrl::PipelineDone& op) { put("PipelineDone", {op.pipe}); },
+                 [&](const ctrl::PipelineAborted& op) { put("PipelineAborted", {op.pipe}); },
+                 [&](const ctrl::TeStopped& op) { put("TeStopped", {op.te}); },
+                 [&](const ctrl::TeCrashed& op) { put("TeCrashed", {op.te, op.kind, op.time}); },
+                 [&](const ctrl::TeDetected& op) { put("TeDetected", {op.te}); },
+                 [&](const ctrl::TeAdded& op) { put("TeAdded", {id(op.group), op.te}); },
+                 [&](const ctrl::TeRemoved& op) { put("TeRemoved", {op.te}); },
+                 [&](const ctrl::JobCreated& op) {
+                   put("JobCreated", {id(op.job), op.retries});
+                   out += " req=" + std::to_string(op.request->id);
+                 },
+                 [&](const ctrl::JobTeBound& op) { put("JobTeBound", {id(op.job), op.te}); },
+                 [&](const ctrl::TaskCreated& op) {
+                   put("TaskCreated", {id(op.task), id(op.job), id(op.type), op.te});
+                 },
+                 [&](const ctrl::TaskCompleted& op) { put("TaskCompleted", {id(op.task)}); },
+                 [&](const ctrl::JobCompleted& op) { put("JobCompleted", {id(op.job)}); },
+                 [&](const ctrl::JobFailed& op) { put("JobFailed", {id(op.job)}); },
+                 [&](const ctrl::RrAdvanced&) { put("RrAdvanced", {}); },
+                 [&](const ctrl::Epoch&) { put("Epoch", {}); },
+             },
+             record.op);
+  return out;
+}
+
+std::vector<std::string> Stream(const ctrl::ControlLog& log) {
+  std::vector<std::string> lines;
+  for (const ctrl::LogRecord& record : log.records()) {
+    lines.push_back(Render(record));
+  }
+  return lines;
+}
+
+// Each scenario's whole record stream: kinds, operands, order and append
+// times. Failover delays and MTTRs count these records, so any drift here
+// moves timelines. Together the scenarios append every record kind.
+TEST(RecordStreamTest, ColocatedDispatch) {
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, kNoFold));
+  fleet.AddTe(flowserve::EngineRole::kColocated, SmallEngine(flowserve::EngineRole::kColocated));
+  ASSERT_EQ(fleet.Replay({MakeRequest(1, 64, 4)}).completed(), 1u);
+  const std::vector<std::string> got = Stream(*fleet.ctrl_log());
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "0 DirectoryInit 24",
+                     "0 NpusAllocated 0",
+                     "0 TeCreated 1 0",
+                     "0 TeAdded 0 1",
+                     "0 JobCreated 1 0 req=1",
+                     "0 JobTeBound 1 1",
+                     "0 TaskCreated 1 1 0 1",
+                     "0 RrAdvanced",
+                     "10165874 TaskCompleted 1",
+                     "10165874 JobCompleted 1",
+                 }));
+}
+
+TEST(RecordStreamTest, PdDispatch) {
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, kNoFold));
+  fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), 0, /*prefill=*/1, /*decode=*/1);
+  fleet.Link();
+  ASSERT_EQ(fleet.Replay({MakeRequest(1, 64, 4)}).completed(), 1u);
+  const std::vector<std::string> got = Stream(*fleet.ctrl_log());
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "0 DirectoryInit 24",
+                     "0 NpusAllocated 0",
+                     "0 TeCreated 1 0",
+                     "0 TeAdded 1 1",
+                     "0 NpusAllocated 1",
+                     "0 TeCreated 2 1",
+                     "0 TeAdded 2 2",
+                     "0 JobCreated 1 0 req=1",
+                     "0 JobTeBound 1 1",
+                     "0 JobTeBound 1 2",
+                     "0 TaskCreated 1 1 1 1",
+                     "0 TaskCreated 2 1 2 2",
+                     "0 RrAdvanced",
+                     "2599347 TaskCompleted 1",
+                     "10192331 JobCompleted 1",
+                 }));
+}
+
+TEST(RecordStreamTest, CrashRedispatch) {
+  fleet::Fleet fleet(StackSpec(/*replicas=*/3, kNoFold));
+  fleet.AddTes(SmallEngine(flowserve::EngineRole::kColocated), /*colocated=*/2, 0, 0);
+  fleet.Submit({MakeRequest(1, 64, 64)});
+  fleet.sim().ScheduleAt(MsToNs(20), [&] {
+    const serving::TeId victim = fleet.je().table().outstanding().begin()->second.tes[0];
+    ASSERT_TRUE(fleet.manager().KillTe(victim).ok());
+  });
+  fleet.sim().Run();
+  EXPECT_EQ(fleet.tally().completed, 1);
+  ASSERT_TRUE(fleet.je().CrashLeader().ok());
+  fleet.je().RecoverLeader();
+  const std::vector<std::string> got = Stream(*fleet.ctrl_log());
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "0 DirectoryInit 24",
+                     "0 NpusAllocated 0",
+                     "0 TeCreated 1 0",
+                     "0 TeAdded 0 1",
+                     "0 NpusAllocated 1",
+                     "0 TeCreated 2 1",
+                     "0 TeAdded 0 2",
+                     "0 JobCreated 1 0 req=1",
+                     "0 JobTeBound 1 1",
+                     "0 TaskCreated 1 1 0 1",
+                     "0 RrAdvanced",
+                     "20000000 TeCrashed 1 1 20000000",
+                     "20000000 TeDetected 1",
+                     "20000000 NpusReleased 0",
+                     "20000000 TeRemoved 1",
+                     "20000000 JobFailed 1",
+                     "20000000 JobCreated 2 1 req=1",
+                     "20000000 JobTeBound 2 2",
+                     "20000000 TaskCreated 2 2 0 2",
+                     "20000000 RrAdvanced",
+                     "181544794 TaskCompleted 2",
+                     "181544794 JobCompleted 2",
+                     "181544794 Epoch",
+                 }));
+}
+
+TEST_F(CtrlStackTest, RecordStreamScaleUpPipeline) {
+  ctrl::CtrlConfig config;
+  config.replicas = 3;
+  config.quorum = 2;
+  config.replication_latency = kNoFold;
+  ctrl::ControlLog log(&sim_, config);
+  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
+  manager.ReservePrewarmedPods(3);
+  manager.ReservePrewarmedTes(1);
+  auto* source = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
+  serving::ScaleRequest request;
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  serving::TaskExecutor* scaled = nullptr;
+  ASSERT_TRUE(manager.ScaleUp(request, [&](serving::TaskExecutor* te,
+                                           const serving::ScalingBreakdown&) { scaled = te; })
+                  .ok());
+  sim_.Run();
+  ASSERT_NE(scaled, nullptr);
+  request.fork_source = source->id();
+  std::vector<serving::TaskExecutor*> forked;
+  ASSERT_TRUE(manager
+                  .ScaleUpMany(request, 2,
+                               [&](std::vector<serving::TaskExecutor*> tes, DurationNs) {
+                                 forked = std::move(tes);
+                               })
+                  .ok());
+  sim_.Run();
+  ASSERT_EQ(forked.size(), 2u);
+  auto aborted = manager.ScaleUp(request, [](serving::TaskExecutor*,
+                                             const serving::ScalingBreakdown&) {});
+  ASSERT_TRUE(aborted.ok());
+  sim_.RunUntil(sim_.Now() + SToNs(1));
+  ASSERT_TRUE(manager.KillTe(aborted.value()).ok());
+  ASSERT_TRUE(manager.StopTe(forked[0]->id()).ok());
+  ASSERT_TRUE(manager.CrashTe(forked[1]->id(), serving::CrashKind::kNpu).ok());
+  sim_.Run();
+  ASSERT_TRUE(manager.CrashControlLeader().ok());
+  manager.RecoverControlLeader();
+  const std::vector<std::string> got = Stream(log);
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "0 DirectoryInit 24",
+                     "0 PodsReserved 3",
+                     "0 WarmTesReserved 1",
+                     "0 NpusAllocated 0",
+                     "0 TeCreated 1 0",
+                     "0 NpusAllocated 1",
+                     "0 PipelineStarted 1 2 1",
+                     "0 PodsConsumed 1",
+                     "500000000 StageDone 1 1",
+                     "500000000 WarmTesConsumed 1",
+                     "900000000 StageDone 1 2",
+                     "1812566707 StageDone 1 3",
+                     "2262566707 StageDone 1 4",
+                     "2362566707 PipelineDone 1",
+                     "2362566707 PodsConsumed 2",
+                     "19349918926 NpusAllocated 2",
+                     "19349918926 TeCreated 3 2",
+                     "19349918926 NpusAllocated 3",
+                     "19349918926 TeCreated 4 3",
+                     "19349918926 NpusAllocated 4",
+                     "19349918926 PipelineStarted 2 5 4",
+                     "20349918926 PipelineAborted 2",
+                     "20349918926 NpusReleased 4",
+                     "20349918926 TeStopped 3",
+                     "20349918926 NpusReleased 2",
+                     "20349918926 TeCrashed 4 0 20349918926",
+                     "22000000000 TeDetected 4",
+                     "22000000000 NpusReleased 3",
+                     "31349918926 Epoch",
+                 }));
 }
 
 // ---------------- Golden parity: degenerate log == pre-log tree ----------------

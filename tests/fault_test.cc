@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -233,20 +234,21 @@ TEST_F(FaultToleranceTest, FailedJobsMarkedInLedger) {
   sim_.RunUntil(MsToNs(400));
   ASSERT_TRUE(manager_->KillTe(te1->id()).ok());
   sim_.Run();
-  int failed = 0;
-  int completed = 0;
+  size_t failed = 0;
+  std::map<workload::RequestId, int> completed;  // completed jobs per request
   for (const auto& job : je_->jobs()) {
     if (job.state == serving::JobState::kFailed) {
       ++failed;
     }
     if (job.state == serving::JobState::kCompleted) {
-      ++completed;
+      ++completed[job.request];
     }
   }
-  EXPECT_GT(failed, 0);
-  // Retries created fresh (completed) jobs for the failed ones.
-  EXPECT_EQ(completed, 4 + failed > 4 ? completed : completed);
-  EXPECT_GE(completed, 4);
+  EXPECT_GT(failed, 0u);
+  // Each request completes exactly once, and each failed job was replaced by
+  // exactly one retry job.
+  EXPECT_EQ(completed, (std::map<workload::RequestId, int>{{1, 1}, {2, 1}, {3, 1}, {4, 1}}));
+  EXPECT_EQ(je_->jobs().size(), 4 + failed);
 }
 
 TEST_F(FaultToleranceTest, DoubleKillFails) {

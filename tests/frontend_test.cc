@@ -180,7 +180,7 @@ TEST_F(FrontendTest, AllReplicasDownMeansUnavailable) {
 TEST_F(FrontendTest, CapacityConsultsTeStateNotGroupMembership) {
   // A JE whose only TE has crashed, before the detector notices, still *has*
   // the TE in its group; the old group-membership check would have routed to
-  // it. HasReadyCapacity must consult TeState instead.
+  // it. ReadyCapacityWeight must consult TeState instead.
   serving::Frontend frontend;
   auto je = MakeJeWithTe();
   frontend.RegisterServingJe("tiny-1b", je);
